@@ -22,13 +22,13 @@
 //	// rep.Output.InMIS is a verified MIS; rep.Metrics.MaxAwake is
 //	// O(log log n); rep.JSON() is the wire form.
 //
-// Spec-driven execution goes through the single consolidated entry
-// point Run(ctx, spec, ...RunOption): functional options select worker
+// Spec-driven execution goes through the single entry point
+// Run(ctx, spec, ...RunOption): functional options select worker
 // budgets (WithWorkers), per-round observers (WithObserver), and
-// vectorized trial batches (WithVectorizedTrials) that execute all
-// replications of a study cell in one merged pass. RunMIS returns the
-// typed MIS view; RunSpec / RunSpecContext / RunSpecWorkers and the
-// RunColoring / RunMatching wrappers are deprecated delegates.
+// trial batches (WithVectorizedTrials) that execute all replications
+// of a study cell in one merged pass. Every run is R ≥ 1 lanes of one
+// engine pass; a plain spec is one lane. RunTask runs a task on a
+// graph already in hand, and RunMIS returns the typed MIS view.
 package awakemis
 
 import (
@@ -68,8 +68,7 @@ const (
 	LDTMIS Algorithm = "ldt-mis"
 )
 
-// Task names for the §7 extensions (use RunTask, or the deprecated
-// typed wrappers RunColoring and RunMatching).
+// Task names for the §7 extensions (run them with RunTask or Run).
 const (
 	// TaskColoring is greedy (Δ+1)-coloring in O(log n) awake rounds.
 	TaskColoring = "coloring"
@@ -83,33 +82,26 @@ func Algorithms() []Algorithm {
 	return []Algorithm{AwakeMIS, AwakeMISRound, Luby, NaiveGreedy, VTMIS, LDTMIS}
 }
 
-// Engine selects the simulation runtime (see internal/sim): the
-// default stepped engine keeps node state inline and shards step calls
-// across a worker pool; the lockstep engine runs one goroutine per
-// node. Both produce bit-identical results for equal seeds.
+// Engine names the simulation runtime a Report records. There is one:
+// EngineStepped, the vector engine of internal/sim, which runs every
+// spec as R ≥ 1 lanes of a merged pass. The name stays on the wire so
+// Report bytes and canonical spec hashes keep their form.
 type Engine string
 
-const (
-	// EngineStepped is the default: the inline-state parallel engine.
-	EngineStepped Engine = "stepped"
-	// EngineLockstep is the goroutine-per-node reference engine.
-	EngineLockstep Engine = "lockstep"
-)
-
-// Engines lists the available engines.
-func Engines() []Engine { return []Engine{EngineStepped, EngineLockstep} }
+// EngineStepped is the only engine, and what "" means.
+const EngineStepped Engine = "stepped"
 
 // Options configures a run. The zero value is usable, and the struct
 // marshals to/from JSON for batch spec files.
 type Options struct {
-	// Seed drives all randomness; equal seeds replay identical runs on
-	// every engine at every worker count. Every derived stream (per-node
+	// Seed drives all randomness; equal seeds replay identical runs at
+	// every worker count. Every derived stream (per-node
 	// randomness, ID permutations, edge orders) comes from this seed
 	// through the centralized splitmix64 deriver (see DeriveSeed).
 	Seed int64 `json:"seed,omitempty"`
-	// Engine selects the runtime engine ("" means EngineStepped).
+	// Engine must be "" or EngineStepped (see Engine).
 	Engine Engine `json:"engine,omitempty"`
-	// Workers caps the stepped engine's worker pool (0 means one per
+	// Workers caps the engine's worker pool (0 means one per
 	// CPU). Worker count never changes results, only wall-clock time.
 	Workers int `json:"workers,omitempty"`
 	// N is the common polynomial upper bound on the network size known
@@ -140,14 +132,8 @@ type Options struct {
 	Observer RoundObserver `json:"-"`
 }
 
-// simConfig resolves the options into an engine configuration. workers
-// overrides Options.Workers when the caller manages a shared budget
-// (Runner.RunBatch); pass o.Workers otherwise.
-func (o Options) simConfig(workers int) (sim.Config, error) {
-	eng, err := sim.EngineByName(string(o.Engine), workers)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("awakemis: %w", err)
-	}
+// simConfig resolves the options into an engine configuration on eng.
+func (o Options) simConfig(eng sim.Engine) sim.Config {
 	return sim.Config{
 		Seed:      o.Seed,
 		N:         o.N,
@@ -155,7 +141,7 @@ func (o Options) simConfig(workers int) (sim.Config, error) {
 		Strict:    o.Strict,
 		MaxRounds: o.MaxRounds,
 		Engine:    eng,
-	}, nil
+	}
 }
 
 // Metrics reports the complexity measures of a run (§1.3–1.4).
@@ -286,49 +272,6 @@ func RunMISContext(ctx context.Context, g *Graph, algo Algorithm, opt Options) (
 // Verify checks that inMIS is a maximal independent set of g.
 func Verify(g *Graph, inMIS []bool) error {
 	return verifyMIS(g, Output{InMIS: inMIS})
-}
-
-// ColoringResult is the output of RunColoring.
-type ColoringResult struct {
-	// Color[v] is node v's color; colors are in [0, Δ].
-	Color []int
-	// Metrics holds the run's complexity measures.
-	Metrics Metrics
-}
-
-// RunColoring computes a greedy (Δ+1)-coloring in the sleeping model
-// with O(log n) awake complexity — the §7 extension of the paper's
-// virtual-binary-tree technique to another symmetry-breaking problem.
-//
-// Deprecated: RunColoring is a thin wrapper kept for compatibility;
-// use RunTask(g, TaskColoring, opt) and read Report.Output.Color.
-func RunColoring(g *Graph, opt Options) (*ColoringResult, error) {
-	rep, err := RunTask(g, TaskColoring, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &ColoringResult{Color: rep.Output.Color, Metrics: rep.Metrics}, nil
-}
-
-// MatchingResult is the output of RunMatching.
-type MatchingResult struct {
-	// MatchedWith[v] is v's partner, or -1 if unmatched.
-	MatchedWith []int
-	// Metrics holds the run's complexity measures.
-	Metrics Metrics
-}
-
-// RunMatching computes a maximal matching in the sleeping model via
-// greedy processing of a random edge order (§7 extension).
-//
-// Deprecated: RunMatching is a thin wrapper kept for compatibility;
-// use RunTask(g, TaskMatching, opt) and read Report.Output.MatchedWith.
-func RunMatching(g *Graph, opt Options) (*MatchingResult, error) {
-	rep, err := RunTask(g, TaskMatching, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &MatchingResult{MatchedWith: rep.Output.MatchedWith, Metrics: rep.Metrics}, nil
 }
 
 // DeriveSeed derives an independent stream seed from a root seed: the

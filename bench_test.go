@@ -20,7 +20,6 @@ import (
 	"awakemis/internal/greedy"
 	"awakemis/internal/ldt"
 	"awakemis/internal/ldtmis"
-	"awakemis/internal/rng"
 	"awakemis/internal/sim"
 	"awakemis/internal/vtree"
 )
@@ -296,27 +295,33 @@ func BenchmarkCommSet(b *testing.B) {
 	}
 }
 
-// BenchmarkEngines compares the two engines across every registered
-// task. Results are bit-identical across engines (the cross-engine
-// tests assert it); only wall-clock differs — the stepped engine keeps
-// node state inline instead of paying per-node goroutines and
-// per-round channel handshakes. Since PR 4 every task, including
-// awake-mis and ldt-mis, runs the stepped engine natively (no
-// goroutine adapter on the default path). The task-grid measurements
-// are recorded in BENCH_tasks.json (the PR 1 Luby size sweep stays in
-// BENCH_engine.json):
+// BenchmarkEngines compares the lockstep reference engine with the
+// production vector engine (a one-lane pass, reported as "stepped")
+// across every registered task. Results are bit-identical across
+// engines (the cross-engine tests assert it); only wall-clock differs
+// — the vector engine keeps node state inline instead of paying
+// per-node goroutines and per-round channel handshakes. The task-grid
+// measurements are recorded in BENCH_tasks.json (the PR 1 Luby size
+// sweep stays in BENCH_engine.json):
 //
 //	go test -run xxx -bench BenchmarkEngines -benchtime 2x
 func BenchmarkEngines(b *testing.B) {
 	const n = 1024
-	g := awakemis.GNP(n, 4/float64(n), int64(n))
+	engines := map[string]func(awakemis.Spec) (*awakemis.Report, error){
+		"lockstep": awakemis.RunLockstep,
+		"stepped":  runPlain,
+	}
 	for _, task := range awakemis.TaskNames() {
-		for _, eng := range awakemis.Engines() {
-			b.Run(task+"/"+string(eng), func(b *testing.B) {
+		for _, eng := range []string{"stepped", "lockstep"} {
+			b.Run(task+"/"+eng, func(b *testing.B) {
 				var last awakemis.Metrics
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					rep, err := awakemis.RunTask(g, task, awakemis.Options{Seed: int64(i), Engine: eng})
+					rep, err := engines[eng](awakemis.Spec{
+						Task:    task,
+						Graph:   awakemis.GraphSpec{Family: "gnp", N: n, Seed: n},
+						Options: awakemis.Options{Seed: int64(i)},
+					})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -326,59 +331,6 @@ func BenchmarkEngines(b *testing.B) {
 				b.ReportMetric(float64(last.Rounds), "rounds")
 			})
 		}
-	}
-}
-
-// BenchmarkEngineAdapter isolates the tentpole gain of PR 4: the two
-// flagship tasks executed on the stepped engine natively (step form)
-// versus through the goroutine adapter (the pre-PR 4 default path).
-func BenchmarkEngineAdapter(b *testing.B) {
-	const n = 1024
-	g := graph.GNP(n, 4/float64(n), rand.New(rand.NewSource(int64(n))))
-	params := core.Params{}.WithDefaults(n)
-	cfg := sim.Config{Seed: 1, Bandwidth: sim.DefaultBandwidth(n)}
-	sched := core.NewSchedule(n, params, cfg.Bandwidth)
-	np := 1
-	for _, c := range g.Components() {
-		if len(c) > np {
-			np = len(c)
-		}
-	}
-	ids := rng.IDs40(n, 7)
-	ldtCfg := sim.Config{Seed: 1, N: 1 << 16, Bandwidth: sim.DefaultBandwidth(1 << 40)}
-	progs := map[string]struct {
-		cfg sim.Config
-		mk  func() sim.NodeProgram
-	}{
-		"awake-mis/native": {cfg, func() sim.NodeProgram {
-			res := &core.Result{InMIS: make([]bool, n), Batch: make([]int, n)}
-			return core.StepProgram(res, sched, params, n)
-		}},
-		"awake-mis/adapter": {cfg, func() sim.NodeProgram {
-			res := &core.Result{InMIS: make([]bool, n), Batch: make([]int, n)}
-			return core.Program(res, sched, params, n)
-		}},
-		"ldt-mis/native": {ldtCfg, func() sim.NodeProgram {
-			res := &ldtmis.Result{InMIS: make([]bool, n), NewID: make([]int, n)}
-			return ldtmis.StepProgram(res, ids, np, ldtmis.VariantAwake)
-		}},
-		"ldt-mis/adapter": {ldtCfg, func() sim.NodeProgram {
-			res := &ldtmis.Result{InMIS: make([]bool, n), NewID: make([]int, n)}
-			return ldtmis.Program(res, ids, np, ldtmis.VariantAwake)
-		}},
-	}
-	for name, p := range progs {
-		b.Run(name, func(b *testing.B) {
-			eng := sim.NewSteppedEngine(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := p.cfg
-				c.Seed = int64(i)
-				if _, err := eng.Run(context.Background(), g, p.mk(), c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

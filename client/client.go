@@ -469,7 +469,7 @@ func streamSSE[T any](ctx context.Context, c *Client, path string, terminal func
 }
 
 // Run submits the spec and waits for its Report: the remote
-// equivalent of awakemis.RunSpec. A failed or canceled job is an
+// equivalent of awakemis.Run. A failed or canceled job is an
 // error.
 func (c *Client) Run(ctx context.Context, spec awakemis.Spec) (*awakemis.Report, error) {
 	ctx, _ = traceid.Ensure(ctx)

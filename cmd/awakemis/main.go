@@ -7,7 +7,7 @@
 //
 //	awakemis -algo awake-mis -graph gnp -n 1024 -p 0.004 -seed 1
 //	awakemis -algo coloring -json
-//	awakemis -algo luby -n 1000000 -engine stepped -workers 8
+//	awakemis -algo luby -n 1000000 -workers 8
 //	awakemis -batch specs.json -parallel 4 > reports.json
 //	awakemis -batch specs.json -server http://127.0.0.1:7600
 //	awakemis -study study.json > result.json
@@ -22,7 +22,7 @@
 // in-flight simulations at their next round boundary.
 //
 // The -study file is one StudySpec: a declarative parameter-sweep
-// grid (tasks × families × n-sweep × engines × trials) that expands
+// grid (tasks × families × n-sweep × trials) that expands
 // deterministically, aggregates each cell, and fits every metric's
 // growth over the n-sweep. Output is the StudyResult artifact as JSON
 // (or, with -csv, the cells and fits tables as CSV). The artifact is
@@ -73,8 +73,7 @@ func main() {
 		d        = flag.Int("d", 4, "degree for regular / attachments for powerlaw")
 		r        = flag.Float64("r", 0.1, "radius for geometric")
 		seed     = flag.Int64("seed", 1, "random seed")
-		engine   = flag.String("engine", "stepped", "simulation engine: stepped|lockstep (results are identical)")
-		workers  = flag.Int("workers", 0, "stepped-engine worker pool size; with -batch, the total budget divided among in-flight specs (0 = one per CPU)")
+		workers  = flag.Int("workers", 0, "engine worker pool size; with -batch, the total budget divided among in-flight specs (0 = one per CPU)")
 		strict   = flag.Bool("strict", true, "enforce the CONGEST bandwidth bound")
 		timeline = flag.Int("timeline", 0, "show an awake timeline of the k busiest nodes (text mode)")
 		asJSON   = flag.Bool("json", false, "emit the run's Report as JSON")
@@ -152,8 +151,7 @@ func main() {
 	}
 	opt := awakemis.Options{
 		Seed: *seed, Strict: *strict, Trace: *timeline > 0,
-		Engine: awakemis.Engine(*engine), Workers: *workers,
-		RoundSummary: *roundSum,
+		Workers: *workers, RoundSummary: *roundSum,
 	}
 	var rl *runlogWriter
 	if *runlog != "" {
@@ -190,8 +188,7 @@ func main() {
 	fmt.Printf("rounds           %d    (executed: %d; the rest everyone slept through)\n", m.Rounds, m.ExecutedRounds)
 	fmt.Printf("messages         %d    (%d bits, max %d bits/message)\n", m.MessagesSent, m.BitsSent, m.MaxMessageBits)
 	// Wall time goes to stderr: stdout stays byte-identical across
-	// engines and worker counts (the determinism contract verify flows
-	// diff it).
+	// worker counts (the determinism contract verify flows diff it).
 	fmt.Fprintf(os.Stderr, "(%.1fms on the %s engine)\n", rep.WallMS, rep.Engine)
 	if *timeline > 0 {
 		fmt.Println()

@@ -72,7 +72,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":7600", "listen address")
 		workers     = flag.Int("workers", 0, "simulations in flight at once (0 = one per CPU, capped at 4)")
-		simWorkers  = flag.Int("sim-workers", 0, "total stepped-engine worker budget divided among the slots (0 = one per CPU)")
+		simWorkers  = flag.Int("sim-workers", 0, "total engine worker budget divided among the slots (0 = one per CPU)")
 		queue       = flag.Int("queue", 0, "pending-simulation queue bound (0 = 256)")
 		cacheMB     = flag.Int64("cache-mb", 0, "report cache budget in MiB (0 = 64, negative disables)")
 		history     = flag.Int("history", 0, "finished jobs kept queryable (0 = 4096)")

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"awakemis/internal/expt"
-	"awakemis/internal/sim"
 )
 
 func main() {
@@ -30,22 +29,17 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed")
 		trials  = flag.Int("trials", 0, "trials per configuration (0 = default)")
 		sizes   = flag.String("sizes", "", "comma-separated n sweep (default: 64,256,1024,4096)")
-		engine  = flag.String("engine", "stepped", "simulation engine: stepped|lockstep (results are identical)")
-		workers = flag.Int("workers", 0, "stepped-engine worker pool size (0 = one per CPU)")
+		workers = flag.Int("workers", 0, "engine worker pool size (0 = one per CPU)")
 	)
 	flag.Parse()
 
-	if _, err := sim.EngineByName(*engine, *workers); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	// Ctrl-C cancels the suite: every simulation aborts at its next
 	// round boundary instead of running to completion.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	opts := expt.Options{
 		Seed: *seed, Quick: *quick, Trials: *trials,
-		Engine: *engine, Workers: *workers, Context: ctx,
+		Workers: *workers, Context: ctx,
 	}
 	if *sizes != "" {
 		for _, s := range strings.Split(*sizes, ",") {

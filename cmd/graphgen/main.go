@@ -53,7 +53,6 @@ func main() {
 		sizes    = flag.String("sizes", "64,256,1024", "study: comma-separated n-sweep")
 		trials   = flag.Int("trials", 3, "study: replications per grid cell")
 		name     = flag.String("name", "", "study: artifact label (empty = unnamed)")
-		engine   = flag.String("engine", "", "spec/batch/study: engine option to embed (stepped|lockstep; empty = default)")
 		strict   = flag.Bool("strict", true, "spec/batch/study: enforce the CONGEST bandwidth bound")
 	)
 	flag.Parse()
@@ -66,7 +65,7 @@ func main() {
 		if len(taskList) != 1 {
 			fail(fmt.Errorf("-format spec emits one spec; got %d tasks (use -format batch)", len(taskList)))
 		}
-		spec := buildSpec(taskList[0], *family, *n, *p, *d, *r, *seed, *engine, *strict)
+		spec := buildSpec(taskList[0], *family, *n, *p, *d, *r, *seed, *strict)
 		emitJSON(spec)
 	case "batch":
 		famList := splitList(*families)
@@ -86,7 +85,7 @@ func main() {
 		for _, fam := range famList {
 			for _, task := range taskList {
 				for i := range *seeds {
-					specs = append(specs, buildSpec(task, fam, *n, *p, *d, *r, *seed+int64(i), *engine, *strict))
+					specs = append(specs, buildSpec(task, fam, *n, *p, *d, *r, *seed+int64(i), *strict))
 				}
 			}
 		}
@@ -102,7 +101,7 @@ func main() {
 		if len(taskList) == 0 {
 			fail(fmt.Errorf("-format study needs at least one task"))
 		}
-		ss := buildStudy(*name, taskList, famList, splitList(*sizes), *trials, *seed, *p, *d, *r, *engine, *strict)
+		ss := buildStudy(*name, taskList, famList, splitList(*sizes), *trials, *seed, *p, *d, *r, *strict)
 		emitJSON(ss)
 	default:
 		fail(fmt.Errorf("unknown -format %q (have edges|spec|batch|study)", *format))
@@ -114,7 +113,7 @@ func main() {
 // axis entry, with the n-sweep and replication count as axes instead
 // of flags baked into each spec. Validation covers the whole
 // expansion, so an emitted study never fails downstream.
-func buildStudy(name string, tasks, families, sizeList []string, trials int, seed int64, p float64, d int, r float64, engine string, strict bool) awakemis.StudySpec {
+func buildStudy(name string, tasks, families, sizeList []string, trials int, seed int64, p float64, d int, r float64, strict bool) awakemis.StudySpec {
 	var sizes []int
 	for _, s := range sizeList {
 		n, err := strconv.Atoi(s)
@@ -140,16 +139,11 @@ func buildStudy(name string, tasks, families, sizeList []string, trials int, see
 		}
 		fams[i] = gs
 	}
-	var engines []awakemis.Engine
-	if engine != "" {
-		engines = []awakemis.Engine{awakemis.Engine(engine)}
-	}
 	ss := awakemis.StudySpec{
 		Name:     name,
 		Tasks:    tasks,
 		Families: fams,
 		Sizes:    sizes,
-		Engines:  engines,
 		Trials:   trials,
 		Seed:     seed,
 		Options:  awakemis.Options{Strict: strict},
@@ -162,7 +156,7 @@ func buildStudy(name string, tasks, families, sizeList []string, trials int, see
 
 // buildSpec assembles and validates one Spec; flag values that match
 // the family defaults are elided so the emitted JSON stays minimal.
-func buildSpec(task, family string, n int, p float64, d int, r float64, seed int64, engine string, strict bool) awakemis.Spec {
+func buildSpec(task, family string, n int, p float64, d int, r float64, seed int64, strict bool) awakemis.Spec {
 	gs := awakemis.GraphSpec{Family: family, N: n}
 	switch strings.ToLower(family) {
 	case "gnp":
@@ -182,7 +176,6 @@ func buildSpec(task, family string, n int, p float64, d int, r float64, seed int
 		Graph: gs,
 		Options: awakemis.Options{
 			Seed:   seed,
-			Engine: awakemis.Engine(engine),
 			Strict: strict,
 		},
 	}

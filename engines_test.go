@@ -1,17 +1,18 @@
 // Cross-engine equivalence tests: the determinism contract of
 // internal/sim, asserted at the public API for every algorithm. For a
-// fixed seed, the lockstep and stepped engines — and the stepped engine
-// at every worker count — must produce identical Results: the same MIS
-// membership, the same round count, and the same per-node awake
-// counters. The natively ported step-form algorithms are additionally
-// checked bit-identical against their goroutine-form originals.
+// fixed seed, the lockstep reference engine and the vector engine — at
+// every worker count, as one-lane passes and as one merged multi-lane
+// pass — must produce identical Reports: the same output, the same
+// round count, and the same per-node awake counters. The step-form
+// algorithms are additionally checked bit-identical against their
+// goroutine-form originals.
 package awakemis_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"awakemis"
@@ -22,93 +23,90 @@ import (
 	"awakemis/internal/naive"
 	rng2 "awakemis/internal/rng"
 	"awakemis/internal/sim"
+	"awakemis/internal/simtest"
 	"awakemis/internal/vtcolor"
 	"awakemis/internal/vtmatch"
 	"awakemis/internal/vtmis"
 )
 
-// engineConfigs is the grid of (engine, workers) the contract covers.
-func engineConfigs() []awakemis.Options {
-	return []awakemis.Options{
-		{Engine: awakemis.EngineLockstep},
-		{Engine: awakemis.EngineStepped, Workers: 1},
-		{Engine: awakemis.EngineStepped, Workers: 4},
-		{Engine: awakemis.EngineStepped, Workers: runtime.NumCPU()},
+// checkAcrossEngines runs task on gs at each seed on the lockstep
+// reference, then on the vector engine at every worker count — each
+// seed as a one-lane pass, and all seeds as the lanes of one merged
+// pass — demanding identical outputs and metrics.
+func checkAcrossEngines(t *testing.T, task string, gs awakemis.GraphSpec, seeds []int64) {
+	t.Helper()
+	ctx := context.Background()
+	spec := awakemis.Spec{Task: task, Graph: gs, Options: awakemis.Options{Strict: true}}
+	want := make([]*awakemis.Report, len(seeds))
+	trials := make([]awakemis.Trial, len(seeds))
+	for i, seed := range seeds {
+		sp := spec
+		sp.Options.Seed = seed
+		rep, err := awakemis.RunLockstep(sp)
+		if err != nil {
+			t.Fatalf("lockstep seed %d: %v", seed, err)
+		}
+		want[i], trials[i] = rep, awakemis.Trial{Seed: seed}
+	}
+	same := func(label string, i int, got *awakemis.Report) {
+		t.Helper()
+		if !reflect.DeepEqual(got.Output, want[i].Output) {
+			t.Fatalf("%s seed %d: output diverges from lockstep", label, seeds[i])
+		}
+		if !reflect.DeepEqual(got.Metrics, want[i].Metrics) {
+			t.Fatalf("%s seed %d: metrics diverge from lockstep:\n%+v\nvs\n%+v", label, seeds[i], got.Metrics, want[i].Metrics)
+		}
+	}
+	for _, workers := range simtest.Workers {
+		for i, seed := range seeds {
+			sp := spec
+			sp.Options.Seed = seed
+			rep, err := awakemis.Run(ctx, sp, awakemis.WithWorkers(workers))
+			if err != nil {
+				t.Fatalf("workers=%d seed %d: %v", workers, seed, err)
+			}
+			same(fmt.Sprintf("workers=%d lanes=1", workers), i, rep)
+		}
+		out := make([]*awakemis.Report, len(seeds))
+		if _, err := awakemis.Run(ctx, spec, awakemis.WithWorkers(workers), awakemis.WithVectorizedTrials(trials, out)); err != nil {
+			t.Fatalf("workers=%d lanes=%d: %v", workers, len(seeds), err)
+		}
+		for i, rep := range out {
+			same(fmt.Sprintf("workers=%d lanes=%d", workers, len(seeds)), i, rep)
+		}
 	}
 }
 
-func equivGraphs() map[string]*awakemis.Graph {
-	return map[string]*awakemis.Graph{
-		"gnp":   awakemis.GNP(90, 0.05, 5),
-		"cycle": awakemis.Cycle(41),
-		"grid":  awakemis.Grid(7, 8),
-	}
+// equivGraphs is the graph axis of the cross-engine grid. Explicit
+// graph seeds let the seeds share one graph in a merged pass.
+var equivGraphs = map[string]awakemis.GraphSpec{
+	"gnp":   {Family: "gnp", N: 90, P: 0.05, Seed: 5},
+	"cycle": {Family: "cycle", N: 41, Seed: 1},
+	"grid":  {Family: "grid", N: 56, Seed: 1},
 }
 
 func TestAllAlgorithmsIdenticalAcrossEngines(t *testing.T) {
-	for gname, g := range equivGraphs() {
+	for gname, gs := range equivGraphs {
 		for _, algo := range awakemis.Algorithms() {
 			t.Run(gname+"/"+string(algo), func(t *testing.T) {
-				for _, seed := range []int64{1, 17} {
-					var ref *awakemis.Result
-					for _, base := range engineConfigs() {
-						opt := base
-						opt.Seed = seed
-						opt.Strict = true
-						res, err := awakemis.RunMIS(g, algo, opt)
-						if err != nil {
-							t.Fatalf("engine %s/%d: %v", opt.Engine, opt.Workers, err)
-						}
-						if ref == nil {
-							ref = res
-							continue
-						}
-						if !reflect.DeepEqual(ref.InMIS, res.InMIS) {
-							t.Fatalf("seed %d: MIS diverges on %s/%d", seed, opt.Engine, opt.Workers)
-						}
-						if !reflect.DeepEqual(ref.Metrics, res.Metrics) {
-							t.Fatalf("seed %d: metrics diverge on %s/%d:\n%+v\nvs\n%+v",
-								seed, opt.Engine, opt.Workers, ref.Metrics, res.Metrics)
-						}
-					}
-				}
+				checkAcrossEngines(t, string(algo), gs, []int64{1, 17, 33})
 			})
 		}
 	}
 }
 
 func TestColoringMatchingIdenticalAcrossEngines(t *testing.T) {
-	g := awakemis.GNP(80, 0.06, 3)
-	var refColor, refMatch *awakemis.Report
-	for _, base := range engineConfigs() {
-		opt := base
-		opt.Seed = 5
-		crep, err := awakemis.RunTask(g, awakemis.TaskColoring, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mrep, err := awakemis.RunTask(g, awakemis.TaskMatching, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if refColor == nil {
-			refColor, refMatch = crep, mrep
-			continue
-		}
-		if !reflect.DeepEqual(refColor.Output, crep.Output) || !reflect.DeepEqual(refColor.Metrics, crep.Metrics) {
-			t.Errorf("coloring diverges on %s/%d", opt.Engine, opt.Workers)
-		}
-		if !reflect.DeepEqual(refMatch.Output, mrep.Output) || !reflect.DeepEqual(refMatch.Metrics, mrep.Metrics) {
-			t.Errorf("matching diverges on %s/%d", opt.Engine, opt.Workers)
-		}
+	gs := awakemis.GraphSpec{Family: "gnp", N: 80, P: 0.06, Seed: 3}
+	for _, task := range []string{awakemis.TaskColoring, awakemis.TaskMatching} {
+		checkAcrossEngines(t, task, gs, []int64{5, 6, 7})
 	}
 }
 
-// TestStepPortsMatchGoroutineOriginals runs each natively ported
-// algorithm in both program forms on both engines and demands identical
-// outputs and metrics — the port-faithfulness check. Since PR 4 this
-// covers all eight algorithms: the awake-mis (core) and ldt-mis ports
-// exercise the resumable ldt.SProc tree machinery.
+// TestStepPortsMatchGoroutineOriginals runs each algorithm's
+// goroutine-form original on the lockstep engine and its step-form
+// port on the vector engine grid, demanding identical outputs and
+// metrics — the port-faithfulness check. The awake-mis (core) and
+// ldt-mis ports exercise the resumable ldt.SProc tree machinery.
 func TestStepPortsMatchGoroutineOriginals(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := graph.GNP(70, 0.07, rng)
@@ -138,138 +136,54 @@ func TestStepPortsMatchGoroutineOriginals(t *testing.T) {
 		}
 	}
 
-	type variant struct {
-		out  func() any // fresh result container read back after the run
-		prog func(out any) sim.NodeProgram
-	}
-	cases := map[string]map[string]variant{
-		"naive": {
-			"goroutine": {
-				out:  func() any { return &naive.Result{InMIS: make([]bool, n)} },
-				prog: func(o any) sim.NodeProgram { return naive.Program(o.(*naive.Result), ids, n) },
-			},
-			"step": {
-				out:  func() any { return &naive.Result{InMIS: make([]bool, n)} },
-				prog: func(o any) sim.NodeProgram { return naive.StepProgram(o.(*naive.Result), ids, n) },
-			},
+	// Each case builds fresh programs in both forms over one result
+	// container; only one form runs per call, so the reader returns its
+	// output.
+	cases := map[string]simtest.Case{
+		"naive": func() (sim.Program, sim.StepProgram, func() any) {
+			r := &naive.Result{InMIS: make([]bool, n)}
+			return naive.Program(r, ids, n), naive.StepProgram(r, ids, n), func() any { return r }
 		},
-		"luby": {
-			"goroutine": {
-				out:  func() any { return &luby.Result{InMIS: make([]bool, n)} },
-				prog: func(o any) sim.NodeProgram { return luby.Program(o.(*luby.Result)) },
-			},
-			"step": {
-				out:  func() any { return &luby.Result{InMIS: make([]bool, n)} },
-				prog: func(o any) sim.NodeProgram { return luby.StepProgram(o.(*luby.Result)) },
-			},
+		"luby": func() (sim.Program, sim.StepProgram, func() any) {
+			r := &luby.Result{InMIS: make([]bool, n)}
+			return luby.Program(r), luby.StepProgram(r), func() any { return r }
 		},
-		"vtmis": {
-			"goroutine": {
-				out:  func() any { return &vtmis.Result{InMIS: make([]bool, n)} },
-				prog: func(o any) sim.NodeProgram { return vtmis.Program(o.(*vtmis.Result), ids, n) },
-			},
-			"step": {
-				out:  func() any { return &vtmis.Result{InMIS: make([]bool, n)} },
-				prog: func(o any) sim.NodeProgram { return vtmis.StepProgram(o.(*vtmis.Result), ids, n) },
-			},
+		"vtmis": func() (sim.Program, sim.StepProgram, func() any) {
+			r := &vtmis.Result{InMIS: make([]bool, n)}
+			return vtmis.Program(r, ids, n), vtmis.StepProgram(r, ids, n), func() any { return r }
 		},
-		"vtcolor": {
-			"goroutine": {
-				out:  func() any { return &vtcolor.Result{Color: make([]int, n)} },
-				prog: func(o any) sim.NodeProgram { return vtcolor.Program(o.(*vtcolor.Result), ids, n) },
-			},
-			"step": {
-				out:  func() any { return &vtcolor.Result{Color: make([]int, n)} },
-				prog: func(o any) sim.NodeProgram { return vtcolor.StepProgram(o.(*vtcolor.Result), ids, n) },
-			},
+		"vtcolor": func() (sim.Program, sim.StepProgram, func() any) {
+			r := &vtcolor.Result{Color: make([]int, n)}
+			return vtcolor.Program(r, ids, n), vtcolor.StepProgram(r, ids, n), func() any { return r }
 		},
-		"vtmatch": {
-			"goroutine": {
-				out: func() any {
-					r := &vtmatch.Result{MatchedWith: make([]int, n)}
-					for i := range r.MatchedWith {
-						r.MatchedWith[i] = -1
-					}
-					return r
-				},
-				prog: func(o any) sim.NodeProgram { return vtmatch.Program(o.(*vtmatch.Result), g, edgeIDs) },
-			},
-			"step": {
-				out: func() any {
-					r := &vtmatch.Result{MatchedWith: make([]int, n)}
-					for i := range r.MatchedWith {
-						r.MatchedWith[i] = -1
-					}
-					return r
-				},
-				prog: func(o any) sim.NodeProgram { return vtmatch.StepProgram(o.(*vtmatch.Result), g, edgeIDs) },
-			},
+		"vtmatch": func() (sim.Program, sim.StepProgram, func() any) {
+			r := &vtmatch.Result{MatchedWith: make([]int, n)}
+			for i := range r.MatchedWith {
+				r.MatchedWith[i] = -1
+			}
+			return vtmatch.Program(r, g, edgeIDs), vtmatch.StepProgram(r, g, edgeIDs), func() any { return r }
 		},
-		"awake-mis": {
-			"goroutine": {
-				out: func() any { return &core.Result{InMIS: make([]bool, n), Batch: make([]int, n)} },
-				prog: func(o any) sim.NodeProgram {
-					return core.Program(o.(*core.Result), sched, params, n)
-				},
-			},
-			"step": {
-				out: func() any { return &core.Result{InMIS: make([]bool, n), Batch: make([]int, n)} },
-				prog: func(o any) sim.NodeProgram {
-					return core.StepProgram(o.(*core.Result), sched, params, n)
-				},
-			},
+		"awake-mis": func() (sim.Program, sim.StepProgram, func() any) {
+			r := &core.Result{InMIS: make([]bool, n), Batch: make([]int, n)}
+			return core.Program(r, sched, params, n), core.StepProgram(r, sched, params, n), func() any { return r }
 		},
-		"ldt-mis": {
-			"goroutine": {
-				out: func() any { return &ldtmis.Result{InMIS: make([]bool, n), NewID: make([]int, n)} },
-				prog: func(o any) sim.NodeProgram {
-					return ldtmis.Program(o.(*ldtmis.Result), bigIDs, np, ldtmis.VariantAwake)
-				},
-			},
-			"step": {
-				out: func() any { return &ldtmis.Result{InMIS: make([]bool, n), NewID: make([]int, n)} },
-				prog: func(o any) sim.NodeProgram {
-					return ldtmis.StepProgram(o.(*ldtmis.Result), bigIDs, np, ldtmis.VariantAwake)
-				},
-			},
+		"ldt-mis": func() (sim.Program, sim.StepProgram, func() any) {
+			r := &ldtmis.Result{InMIS: make([]bool, n), NewID: make([]int, n)}
+			return ldtmis.Program(r, bigIDs, np, ldtmis.VariantAwake),
+				ldtmis.StepProgram(r, bigIDs, np, ldtmis.VariantAwake), func() any { return r }
 		},
 	}
 	// ldt-mis ships 40-bit IDs in its control messages; its CONGEST
 	// budget scales with log I like the task shim's.
 	cfgs := map[string]sim.Config{"ldt-mis": bigCfg}
 
-	engines := map[string]sim.Engine{
-		"lockstep":  sim.NewLockstepEngine(),
-		"stepped-1": sim.NewSteppedEngine(1),
-		"stepped-4": sim.NewSteppedEngine(4),
-	}
-	for algo, forms := range cases {
+	for algo, mk := range cases {
 		t.Run(algo, func(t *testing.T) {
 			cfg, ok := cfgs[algo]
 			if !ok {
 				cfg = baseCfg
 			}
-			var refOut any
-			var refMetrics *sim.Metrics
-			for fname, form := range forms {
-				for ename, eng := range engines {
-					out := form.out()
-					m, err := eng.Run(context.Background(), g, form.prog(out), cfg)
-					if err != nil {
-						t.Fatalf("%s/%s: %v", fname, ename, err)
-					}
-					if refOut == nil {
-						refOut, refMetrics = out, m
-						continue
-					}
-					if !reflect.DeepEqual(refOut, out) {
-						t.Fatalf("%s/%s: output diverges from reference", fname, ename)
-					}
-					if !reflect.DeepEqual(refMetrics, m) {
-						t.Fatalf("%s/%s: metrics diverge:\n%+v\nvs\n%+v", fname, ename, refMetrics, m)
-					}
-				}
-			}
+			simtest.CheckForms(t, g, mk, cfg)
 		})
 	}
 }

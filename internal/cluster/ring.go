@@ -10,7 +10,8 @@
 package cluster
 
 import (
-	"fmt"
+	"crypto/sha256"
+	"encoding/binary"
 	"hash/fnv"
 	"sort"
 	"strconv"
@@ -64,11 +65,13 @@ func NewRing(peers []string, replicas int) *Ring {
 	return r
 }
 
-// vnode hashes one virtual node's position.
+// vnode places one virtual node at the first 8 bytes of
+// SHA-256("peer#i"), the hash keys are placed by. FNV-64a, used before,
+// left addresses that differ in one character clustered on the ring:
+// 10.0.0.1:7600 and 10.0.0.2:7600 split uniform keys 14%/86%.
 func vnode(peer string, i int) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s#%d", peer, i)
-	return h.Sum64()
+	sum := sha256.Sum256([]byte(peer + "#" + strconv.Itoa(i)))
+	return binary.BigEndian.Uint64(sum[:8])
 }
 
 // keyPos maps a canonical spec hash onto the ring. The hash is hex

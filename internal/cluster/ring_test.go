@@ -67,6 +67,32 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
+// TestRingBalanceNearbyAddresses: peers whose addresses differ in one
+// character — the usual shape of a fleet — must still split uniform
+// keys evenly: 40–60% each for two peers, at least 20% each for three.
+func TestRingBalanceNearbyAddresses(t *testing.T) {
+	const keys = 20_000
+	for _, tc := range []struct {
+		peers    []string
+		min, max float64
+	}{
+		{[]string{"10.0.0.1:7600", "10.0.0.2:7600"}, 0.40, 0.60},
+		{[]string{"http://127.0.0.1:47611", "http://127.0.0.1:47612"}, 0.40, 0.60},
+		{[]string{"10.0.0.1:7600", "10.0.0.2:7600", "10.0.0.3:7600"}, 0.20, 1},
+	} {
+		r := NewRing(tc.peers, 0)
+		counts := map[string]int{}
+		for i := range keys {
+			counts[r.Owner(hashOf(i))]++
+		}
+		for _, p := range tc.peers {
+			if share := float64(counts[p]) / keys; share < tc.min || share > tc.max {
+				t.Errorf("%v: peer %s owns %.1f%% of keys, want %.0f–%.0f%%", tc.peers, p, share*100, tc.min*100, tc.max*100)
+			}
+		}
+	}
+}
+
 // TestRingStabilityUnderPeerLoss: removing one peer of three must not
 // reshuffle keys between the survivors — only the dead peer's keys
 // move. That is the property that keeps worker stores warm through

@@ -4,7 +4,7 @@ package core
 // state machine. Each node attends its O(log log n) communication
 // rounds (staged one wake at a time through a sim.Machine) and, in its
 // own phase, runs the step-form LDT-MIS window in place — so the
-// paper's headline algorithm executes on the stepped engine's inline
+// paper's headline algorithm executes on the vector engine's inline
 // hot path with no per-node goroutine. Bit-identical with the
 // goroutine form; the cross-form tests assert it.
 

@@ -1,66 +1,34 @@
 package core_test
 
 import (
-	"context"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"awakemis/internal/core"
 	"awakemis/internal/graph"
 	"awakemis/internal/ldtmis"
 	"awakemis/internal/sim"
+	"awakemis/internal/simtest"
 )
 
 // TestStepFormMatchesGoroutineForm is the port-faithfulness check for
-// Awake-MIS: the native step machine and the goroutine original must be
-// bit-identical in outputs AND metrics on both engines, for both LDT
-// variants, at several worker counts.
+// Awake-MIS: the goroutine original on the lockstep engine and the
+// native step machine on the vector engine must be bit-identical in
+// outputs AND metrics, for both LDT variants, at several worker and
+// lane counts.
 func TestStepFormMatchesGoroutineForm(t *testing.T) {
 	g := graph.GNP(60, 0.06, rand.New(rand.NewSource(3)))
-	engines := map[string]sim.Engine{
-		"lockstep":  sim.NewLockstepEngine(),
-		"stepped-1": sim.NewSteppedEngine(1),
-		"stepped-4": sim.NewSteppedEngine(4),
-	}
 	for _, variant := range []ldtmis.Variant{ldtmis.VariantAwake, ldtmis.VariantRound} {
 		t.Run(variant.String(), func(t *testing.T) {
 			n := g.N()
 			params := core.Params{Variant: variant}.WithDefaults(n)
 			cfg := sim.Config{Seed: 11, Strict: true, Bandwidth: sim.DefaultBandwidth(n)}
 			sched := core.NewSchedule(n, params, cfg.Bandwidth)
-
-			var refRes *core.Result
-			var refM *sim.Metrics
-			check := func(form, ename string, res *core.Result, m *sim.Metrics) {
-				t.Helper()
-				if refRes == nil {
-					refRes, refM = res, m
-					return
-				}
-				if !reflect.DeepEqual(refRes, res) {
-					t.Fatalf("%s/%s: output diverges from reference", form, ename)
-				}
-				if !reflect.DeepEqual(refM, m) {
-					t.Fatalf("%s/%s: metrics diverge:\n%+v\nvs\n%+v", form, ename, refM, m)
-				}
-			}
-			for ename, eng := range engines {
+			simtest.CheckForms(t, g, func() (sim.Program, sim.StepProgram, func() any) {
 				res := &core.Result{InMIS: make([]bool, n), Batch: make([]int, n)}
-				m, err := eng.Run(context.Background(), g, core.Program(res, sched, params, n), cfg)
-				if err != nil {
-					t.Fatalf("goroutine/%s: %v", ename, err)
-				}
-				check("goroutine", ename, res, m)
-			}
-			for ename, eng := range engines {
-				res := &core.Result{InMIS: make([]bool, n), Batch: make([]int, n)}
-				m, err := eng.Run(context.Background(), g, core.StepProgram(res, sched, params, n), cfg)
-				if err != nil {
-					t.Fatalf("step/%s: %v", ename, err)
-				}
-				check("step", ename, res, m)
-			}
+				return core.Program(res, sched, params, n), core.StepProgram(res, sched, params, n),
+					func() any { return res }
+			}, cfg)
 		})
 	}
 }

@@ -37,12 +37,7 @@ type Options struct {
 	Trials int
 	// Quick shrinks sweeps for CI-speed runs.
 	Quick bool
-	// Engine runs every simulation on a named engine ("" means the
-	// default stepped engine; see sim.EngineByName). Results are
-	// engine-independent; this knob exists for benchmarking and
-	// cross-checking. Experiments reject unknown names up front.
-	Engine string
-	// Workers caps the stepped engine's worker pool (0 = one per CPU).
+	// Workers caps the engine's worker pool (0 = one per CPU).
 	Workers int
 	// Context cancels the whole suite: experiments poll it at round
 	// boundaries and between runs. Nil means context.Background().
@@ -57,12 +52,10 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// simConfig applies the harness-wide engine selection to one run's
-// configuration.
+// simConfig applies the harness-wide worker budget to one run's
+// configuration: the run is a one-lane vector pass of that size.
 func (o Options) simConfig(cfg sim.Config) sim.Config {
-	if eng, err := sim.EngineByName(o.Engine, o.Workers); err == nil {
-		cfg.Engine = eng
-	}
+	cfg.Engine = sim.NewVectorEngine(1, o.Workers).Lane(0)
 	return cfg
 }
 
@@ -87,24 +80,8 @@ type Experiment struct {
 	Run   func(o Options, w io.Writer) error
 }
 
-// All returns every experiment in index order. Each experiment
-// validates Options.Engine up front: an unknown engine name is an
-// error, never a silent fallback to the default engine.
+// All returns every experiment in index order.
 func All() []Experiment {
-	list := experiments()
-	for i := range list {
-		run := list[i].Run
-		list[i].Run = func(o Options, w io.Writer) error {
-			if _, err := sim.EngineByName(o.Engine, o.Workers); err != nil {
-				return err
-			}
-			return run(o, w)
-		}
-	}
-	return list
-}
-
-func experiments() []Experiment {
 	return []Experiment{
 		{"f1", "Figure 1: virtual binary trees B([1,6]) and B*([1,6])", runF1},
 		{"f2", "Figure 2: communication sets S3([1,6]), S5([1,6])", runF2},
@@ -204,7 +181,6 @@ func runStudySweep(o Options, w io.Writer, tasks []string, sizes []int) error {
 		Name:    "expt/" + strings.Join(tasks, "+"),
 		Tasks:   tasks,
 		Sizes:   sizes,
-		Engines: []awakemis.Engine{awakemis.Engine(o.Engine)},
 		Trials:  o.Trials,
 		Seed:    o.Seed,
 		Options: awakemis.Options{Strict: true},

@@ -25,13 +25,13 @@ import (
 // an in-place compaction over the sorted rows, replacing the seed
 // layout's per-edge map[[2]int]bool lookups.
 
-// maxEdges is the edge-count cap imposed by the int32 offsets (the arc
+// MaxEdges is the edge-count cap imposed by the int32 offsets (the arc
 // count 2m must fit in an int32).
-const maxEdges = math.MaxInt32 / 2
+const MaxEdges = math.MaxInt32 / 2
 
 func checkEdgeCount(m int) {
-	if m > maxEdges {
-		panic(fmt.Sprintf("graph: %d edges overflow the int32 CSR offsets (max %d)", m, maxEdges))
+	if m > MaxEdges {
+		panic(fmt.Sprintf("graph: %d edges overflow the int32 CSR offsets (max %d)", m, MaxEdges))
 	}
 }
 

@@ -73,6 +73,7 @@ func Path(n int) *Graph {
 
 // Complete returns the complete graph K_n.
 func Complete(n int) *Graph {
+	checkEdgeCount(n * (n - 1) / 2) // fail before enumerating ~n²/2 pairs
 	return build(n, func(edge func(u, v int)) {
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {

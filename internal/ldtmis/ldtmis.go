@@ -13,7 +13,7 @@
 // The node program exists in two bit-identical forms: the goroutine
 // form (RunSub / Program, the reference semantics) and the native
 // step-machine form (RunSubStep / StepProgram, built on internal/ldt's
-// resumable SProc ops), which the stepped engine executes inline with
+// resumable SProc ops), which the vector engine executes inline with
 // no per-node goroutine. Run uses the step form; the goroutine form is
 // kept as the cross-form oracle the equivalence tests check against.
 package ldtmis
@@ -183,7 +183,7 @@ func Run(g *graph.Graph, ids []int64, np int, v Variant, cfg sim.Config) (*Resul
 
 // RunContext is Run under a context; cancellation aborts the
 // simulation at the next round boundary. It runs the native step form,
-// which the stepped engine executes without the goroutine adapter.
+// which the vector engine executes inline.
 func RunContext(ctx context.Context, g *graph.Graph, ids []int64, np int, v Variant, cfg sim.Config) (*Result, *sim.Metrics, error) {
 	if len(ids) != g.N() {
 		return nil, nil, fmt.Errorf("ldtmis: %d ids for %d nodes", len(ids), g.N())

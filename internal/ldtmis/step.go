@@ -3,7 +3,7 @@ package ldtmis
 // Step form of LDT-MIS: the same pipeline as RunSub — hello, LDT
 // construction, ranking, chunked permutation broadcast, VT-MIS — but
 // running as continuations on a sim.Machine instead of a goroutine, so
-// the stepped engine executes it natively. RunSubStep is also the
+// the vector engine executes it natively. RunSubStep is also the
 // building block core's step-form Awake-MIS embeds into its phase
 // windows. Both forms are bit-identical; the cross-form tests assert
 // it.

@@ -1,32 +1,27 @@
 package ldtmis_test
 
 import (
-	"context"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"awakemis/internal/graph"
 	"awakemis/internal/ldtmis"
 	"awakemis/internal/rng"
 	"awakemis/internal/sim"
+	"awakemis/internal/simtest"
 )
 
 // TestStepFormMatchesGoroutineForm is the port-faithfulness check for
-// the LDT-MIS pipeline: the native step machine and the goroutine
-// original must produce bit-identical outputs AND metrics (same wake
-// rounds, same messages) on both engines, for both LDT constructions,
-// on graphs with several components, at several worker counts.
+// the LDT-MIS pipeline: the goroutine original on the lockstep engine
+// and the native step machine on the vector engine must produce
+// bit-identical outputs AND metrics (same wake rounds, same messages),
+// for both LDT constructions, on graphs with several components, at
+// several worker and lane counts.
 func TestStepFormMatchesGoroutineForm(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"cycle": graph.Cycle(24),
 		"gnp":   graph.GNP(40, 0.08, rand.New(rand.NewSource(9))), // disconnected w.h.p.
 		"path":  graph.Path(17),
-	}
-	engines := map[string]sim.Engine{
-		"lockstep":  sim.NewLockstepEngine(),
-		"stepped-1": sim.NewSteppedEngine(1),
-		"stepped-4": sim.NewSteppedEngine(4),
 	}
 	for gname, g := range graphs {
 		np := 0
@@ -40,38 +35,11 @@ func TestStepFormMatchesGoroutineForm(t *testing.T) {
 			t.Run(gname+"/"+variant.String(), func(t *testing.T) {
 				cfg := sim.Config{Seed: 77, N: 1 << 16, Strict: true}
 				cfg.Bandwidth = sim.DefaultBandwidth(1 << 40)
-
-				var refRes *ldtmis.Result
-				var refM *sim.Metrics
-				check := func(form, ename string, res *ldtmis.Result, m *sim.Metrics) {
-					t.Helper()
-					if refRes == nil {
-						refRes, refM = res, m
-						return
-					}
-					if !reflect.DeepEqual(refRes, res) {
-						t.Fatalf("%s/%s: output diverges from reference", form, ename)
-					}
-					if !reflect.DeepEqual(refM, m) {
-						t.Fatalf("%s/%s: metrics diverge:\n%+v\nvs\n%+v", form, ename, refM, m)
-					}
-				}
-				for ename, eng := range engines {
+				simtest.CheckForms(t, g, func() (sim.Program, sim.StepProgram, func() any) {
 					res := &ldtmis.Result{InMIS: make([]bool, g.N()), NewID: make([]int, g.N())}
-					m, err := eng.Run(context.Background(), g, ldtmis.Program(res, ids, np, variant), cfg)
-					if err != nil {
-						t.Fatalf("goroutine/%s: %v", ename, err)
-					}
-					check("goroutine", ename, res, m)
-				}
-				for ename, eng := range engines {
-					res := &ldtmis.Result{InMIS: make([]bool, g.N()), NewID: make([]int, g.N())}
-					m, err := eng.Run(context.Background(), g, ldtmis.StepProgram(res, ids, np, variant), cfg)
-					if err != nil {
-						t.Fatalf("step/%s: %v", ename, err)
-					}
-					check("step", ename, res, m)
-				}
+					return ldtmis.Program(res, ids, np, variant), ldtmis.StepProgram(res, ids, np, variant),
+						func() any { return res }
+				}, cfg)
 			})
 		}
 	}

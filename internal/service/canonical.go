@@ -2,7 +2,7 @@
 // accepts Specs over HTTP, deduplicates them through a
 // content-addressed report cache with in-flight coalescing
 // (singleflight), executes them on a bounded worker pool via the
-// public Runner/RunSpec facade, and serves the resulting Reports. On
+// public Runner/Run facade, and serves the resulting Reports. On
 // top of jobs it serves studies (POST /v1/studies): declarative
 // parameter-sweep grids whose cells execute as ordinary jobs — so
 // repeated and overlapping sweeps coalesce through the same cache —
@@ -45,7 +45,7 @@ import (
 //     wire. Options.RoundSummary is kept — it adds a (deterministic)
 //     block to the report bytes, so summarized and plain submissions
 //     cache separately.
-//   - Options.Seed is taken literally (RunSpec runs seed 0 as seed 0),
+//   - Options.Seed is taken literally (Run runs seed 0 as seed 0),
 //     as are N, Bandwidth, Strict, MaxRounds, and Params. Name is kept
 //     verbatim: it is part of the Report, so differently named
 //     submissions are cached separately.

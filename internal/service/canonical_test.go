@@ -150,7 +150,7 @@ func TestCanonicalSpecRunsIdentically(t *testing.T) {
 	specs := []awakemis.Spec{
 		{Task: "luby", Graph: awakemis.GraphSpec{Family: "Cycle", N: 40, P: 0.9}, Options: awakemis.Options{Seed: 4, Workers: 3}},
 		{Task: "awake-mis", Graph: awakemis.GraphSpec{N: 48}, Options: awakemis.Options{Seed: 2}},
-		{Task: "coloring", Graph: awakemis.GraphSpec{Family: "geometric", N: 30}, Options: awakemis.Options{Seed: 6, Engine: awakemis.EngineLockstep}},
+		{Task: "coloring", Graph: awakemis.GraphSpec{Family: "geometric", N: 30}, Options: awakemis.Options{Seed: 6, Engine: awakemis.EngineStepped}},
 	}
 	for i, spec := range specs {
 		raw, err := awakemis.Run(context.Background(), spec)

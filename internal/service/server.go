@@ -9,6 +9,7 @@ import (
 	"maps"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -24,7 +25,7 @@ type Config struct {
 	// Workers is the number of simulations in flight at once (0 means
 	// one per CPU, capped at 4 — simulations are themselves parallel).
 	Workers int
-	// SimWorkers is the total stepped-engine worker budget, divided
+	// SimWorkers is the total engine worker budget, divided
 	// evenly among the Workers slots (0 means one per CPU), mirroring
 	// Runner.Workers. Worker counts never change results.
 	SimWorkers int
@@ -207,7 +208,7 @@ type flight struct {
 // vectorGroup ties the flights of one study cell's trials together so
 // a single worker can execute them as one merged vectorized pass. The
 // group is advisory: lanes popped or canceled before the drive simply
-// run (or die) alone on the scalar path, with identical results.
+// run (or die) alone as one-lane passes, with identical results.
 type vectorGroup struct {
 	flights []*flight // trial order
 	started bool      // set by the driving worker under Server.mu
@@ -297,7 +298,7 @@ type Stats struct {
 // Handler, stop with Shutdown.
 type Server struct {
 	cfg    Config
-	perRun int // stepped-engine workers per simulation slot
+	perRun int // engine workers per simulation slot
 
 	mu        sync.Mutex
 	cond      *sync.Cond // signaled on queue pushes and on drain
@@ -635,7 +636,9 @@ func (s *Server) StatsSnapshot() Stats {
 // worker executes queued flights until drain completes: on Shutdown
 // it finishes whatever is still queued, then exits. Flights in the
 // queue always have at least one live job — Cancel removes fully
-// abandoned flights under the same lock.
+// abandoned flights under the same lock. A popped flight that belongs
+// to a not yet started study-cell group runs together with its
+// still-queued siblings.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	s.mu.Lock()
@@ -649,122 +652,11 @@ func (s *Server) worker() {
 		}
 		f := s.queue[0]
 		s.queue = s.queue[1:]
+		flights := []*flight{f}
 		if g := f.group; g != nil && !g.started {
-			if lanes := s.stealGroupLocked(f); len(lanes) > 1 {
-				s.runLanesLocked(lanes)
-				continue
-			}
+			flights = s.stealGroupLocked(f)
 		}
-		ctx, cancel := context.WithCancel(s.baseCtx)
-		f.cancel = cancel
-		f.state = JobRunning
-		f.tracker = newProgressTracker(f.spec.Graph.N)
-		queueWait := time.Since(f.enqueued)
-		for _, j := range f.jobs {
-			if j.Status == JobQueued {
-				j.Status = JobRunning
-			}
-		}
-		if s.fwd == nil {
-			s.stats.EngineRuns++
-		}
-		waiters := len(f.jobs)
-		s.mu.Unlock()
-
-		if s.metrics != nil {
-			s.metrics.observeQueueWait(queueWait.Seconds())
-		}
-		// The run (and any forward) executes under the first submitter's
-		// trace id, so worker-daemon logs join the same trail.
-		if f.traceID != "" {
-			ctx = traceid.With(ctx, f.traceID)
-		}
-		s.logger.Info("job start",
-			"trace_id", f.traceID, "hash", f.hash,
-			"task", f.spec.Task, "graph_n", f.spec.Graph.N,
-			"queue_wait_ns", queueWait.Nanoseconds(), "waiters", waiters)
-		start := time.Now()
-
-		var data []byte
-		var err error
-		var peer string
-		if s.fwd != nil {
-			// Front mode: a peer runs the simulation; data is the peer's
-			// exact report bytes, preserving byte identity cluster-wide.
-			// The peer's progress views relay into this flight's tracker.
-			data, peer, err = s.fwd.Forward(ctx, f.spec, f.tracker.setRemote)
-		} else {
-			// The observer rides a run option, never the canonical spec,
-			// so it cannot reach canonicalization or the wire.
-			var rep *awakemis.Report
-			rep, err = awakemis.Run(ctx, f.spec,
-				awakemis.WithWorkers(s.perRun), awakemis.WithObserver(f.tracker))
-			if err == nil {
-				data, err = json.Marshal(rep)
-			}
-		}
-		cancel()
-
-		status, errText := "done", ""
-		if err != nil {
-			status, errText = "failed", err.Error()
-		}
-		s.logger.Info("job end",
-			"trace_id", f.traceID, "hash", f.hash, "status", status,
-			"run_ns", time.Since(start).Nanoseconds(), "peer", peer,
-			"error", errText)
-
-		s.mu.Lock()
-		rounds, simNS := f.tracker.totals()
-		s.stats.RoundsSimulated += rounds
-		s.simNS += simNS
-		jobRounds, jobSimNS := f.tracker.progressTotals()
-		for _, j := range f.jobs {
-			// Stamp every waiter with the flight's executed totals (remote
-			// relays included) before the flight pointer goes away — study
-			// progress keeps aggregating them after the run is gone.
-			j.rounds, j.simNS = jobRounds, jobSimNS
-		}
-		if s.fwd != nil {
-			if err == nil {
-				s.stats.Forwarded++
-				s.peerForwards[peer]++
-			} else {
-				s.stats.ForwardErrors++
-			}
-		}
-		if s.inflight[f.hash] == f {
-			delete(s.inflight, f.hash)
-		}
-		for _, j := range f.jobs {
-			if j.Status.terminal() {
-				continue // canceled waiters keep their cancellation
-			}
-			if err != nil {
-				j.Status = JobFailed
-				j.Error = err.Error()
-				s.stats.JobsFailed++
-			} else {
-				j.Status = JobDone
-				j.Report = data
-				s.stats.JobsCompleted++
-			}
-			s.finishLocked(j)
-		}
-		if err == nil {
-			s.cache.putMem(f.hash, data)
-			if s.cache.hasDisk() {
-				// Persist outside the lock: gzip + fsync must not stall
-				// submissions. The record is content-addressed, so a
-				// concurrent equal write is an idempotent no-op.
-				s.mu.Unlock()
-				perr := s.cache.putDisk(f.hash, data)
-				s.mu.Lock()
-				if perr != nil {
-					s.stats.StoreErrors++
-				}
-			}
-		}
+		s.runLocked(flights)
 	}
 }
 
@@ -801,33 +693,32 @@ func (s *Server) stealGroupLocked(f *flight) []*flight {
 	return lanes
 }
 
-// runLanesLocked executes the flights of one study cell as a single
-// vectorized run: one merged pass over the shared graph, one lane per
-// trial. Everything a scalar flight gets — job accounting, per-lane
-// progress tracker, queue-wait metrics, job start/end logs, cache and
-// store write-through, EngineRuns — happens per lane, so stats and
-// logs are indistinguishable from the lanes having run scalar, and
-// each lane's cached report bytes are byte-identical to a scalar run
-// of its spec. Called (and returns) with s.mu held.
-func (s *Server) runLanesLocked(lanes []*flight) {
+// runLocked executes flights — one flight, or the lanes of one study
+// cell — as one merged engine pass with a lane per flight; a front
+// forwards its single flight instead (fronts never group flights).
+// Everything a flight gets — job accounting, progress tracker,
+// queue-wait metrics, job start/end logs, cache and store
+// write-through, EngineRuns — happens per flight, so stats and logs do
+// not depend on how flights were grouped, and each flight's report
+// bytes are those of a one-lane run of its spec. Called (and returns)
+// with s.mu held.
+func (s *Server) runLocked(flights []*flight) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
-	// Per-lane cancel closures honor the last-waiter rule per flight
-	// without aborting the merged run for the other lanes: the real
-	// cancel fires only when every lane has been released. Every
-	// f.cancel call site holds s.mu, which guards the counter.
-	liveLanes := len(lanes)
-	laneCancel := func() {
-		liveLanes--
-		if liveLanes == 0 {
+	// Per-flight cancel closures honor the last-waiter rule per flight
+	// without aborting the pass for the others: the real cancel fires
+	// only when every flight has been released. Every f.cancel call
+	// site holds s.mu, which guards the counter.
+	live := len(flights)
+	release := func() {
+		if live--; live == 0 {
 			cancel()
 		}
 	}
-	trials := make([]awakemis.Trial, len(lanes))
-	out := make([]*awakemis.Report, len(lanes))
-	waits := make([]time.Duration, len(lanes))
-	waiters := make([]int, len(lanes))
-	for i, f := range lanes {
-		f.cancel = laneCancel
+	trials := make([]awakemis.Trial, len(flights))
+	waits := make([]time.Duration, len(flights))
+	waiters := make([]int, len(flights))
+	for i, f := range flights {
+		f.cancel = release
 		f.state = JobRunning
 		f.tracker = newProgressTracker(f.spec.Graph.N)
 		waits[i] = time.Since(f.enqueued)
@@ -843,17 +734,19 @@ func (s *Server) runLanesLocked(lanes []*flight) {
 			Observer: f.tracker,
 		}
 	}
-	s.stats.EngineRuns += int64(len(lanes))
-	template := lanes[0].spec
+	if s.fwd == nil {
+		s.stats.EngineRuns += int64(len(flights))
+	}
 	s.mu.Unlock()
 
-	// The merged run executes under the driving lane's trace id (a
-	// study submits every lane under one id anyway); each lane still
-	// logs its own start/end so log trails match the scalar path.
-	if lanes[0].traceID != "" {
-		ctx = traceid.With(ctx, lanes[0].traceID)
+	// The pass (and any forward) executes under the first flight's trace
+	// id, so worker-daemon logs join the same trail; a study submits
+	// every lane under one id anyway. Each flight logs its own start and
+	// end.
+	if flights[0].traceID != "" {
+		ctx = traceid.With(ctx, flights[0].traceID)
 	}
-	for i, f := range lanes {
+	for i, f := range flights {
 		if s.metrics != nil {
 			s.metrics.observeQueueWait(waits[i].Seconds())
 		}
@@ -861,40 +754,34 @@ func (s *Server) runLanesLocked(lanes []*flight) {
 			"trace_id", f.traceID, "hash", f.hash,
 			"task", f.spec.Task, "graph_n", f.spec.Graph.N,
 			"queue_wait_ns", waits[i].Nanoseconds(), "waiters", waiters[i],
-			"vector_lanes", len(lanes))
+			"vector_lanes", len(flights))
 	}
 	start := time.Now()
-	_, err := awakemis.Run(ctx, template,
-		awakemis.WithWorkers(s.perRun), awakemis.WithVectorizedTrials(trials, out))
+	datas, peer, err := s.execute(ctx, flights, trials)
 	runNS := time.Since(start).Nanoseconds()
-
-	datas := make([][]byte, len(lanes))
-	for i := range lanes {
-		if err != nil {
-			break
-		}
-		datas[i], err = json.Marshal(out[i])
-	}
 	status, errText := "done", ""
 	if err != nil {
 		status, errText = "failed", err.Error()
 	}
-	for _, f := range lanes {
+	for _, f := range flights {
 		s.logger.Info("job end",
 			"trace_id", f.traceID, "hash", f.hash, "status", status,
-			"run_ns", runNS, "peer", "", "error", errText)
+			"run_ns", runNS, "peer", peer, "error", errText)
 	}
 
 	s.mu.Lock()
-	cancel() // release the merged context; also settles liveLanes stragglers
-	for i, f := range lanes {
+	cancel() // release the pass's context; also settles release stragglers
+	for i, f := range flights {
 		rounds, simNS := f.tracker.totals()
 		s.stats.RoundsSimulated += rounds
 		s.simNS += simNS
 		jobRounds, jobSimNS := f.tracker.progressTotals()
 		for _, j := range f.jobs {
+			// Stamp every waiter with the flight's executed totals (remote
+			// relays included) before the flight pointer goes away — study
+			// progress keeps aggregating them after the run is gone.
 			j.rounds, j.simNS = jobRounds, jobSimNS
-			j.vectorized = true
+			j.vectorized = len(flights) > 1
 		}
 		if s.inflight[f.hash] == f {
 			delete(s.inflight, f.hash)
@@ -918,20 +805,66 @@ func (s *Server) runLanesLocked(lanes []*flight) {
 			s.cache.putMem(f.hash, datas[i])
 		}
 	}
+	if s.fwd != nil {
+		if err == nil {
+			s.stats.Forwarded++
+			s.peerForwards[peer]++
+		} else {
+			s.stats.ForwardErrors++
+		}
+	}
 	if err == nil && s.cache.hasDisk() {
-		// Persist outside the lock, like the scalar path.
+		// Persist outside the lock: gzip + fsync must not stall
+		// submissions. Records are content-addressed, so a concurrent
+		// equal write is an idempotent no-op.
 		s.mu.Unlock()
-		var perr bool
-		for i, f := range lanes {
+		var failed int64
+		for i, f := range flights {
 			if s.cache.putDisk(f.hash, datas[i]) != nil {
-				perr = true
+				failed++
 			}
 		}
 		s.mu.Lock()
-		if perr {
-			s.stats.StoreErrors++
+		s.stats.StoreErrors += failed
+	}
+}
+
+// execute runs the flights' pass, or forwards a front's single flight,
+// and returns each flight's report bytes. A panic — a spec that passed
+// validation but cannot be built — becomes an error naming the spec
+// hashes, failing the jobs instead of the daemon.
+func (s *Server) execute(ctx context.Context, flights []*flight, trials []awakemis.Trial) (datas [][]byte, peer string, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			hashes := make([]string, len(flights))
+			for i, f := range flights {
+				hashes[i] = f.hash
+			}
+			datas, err = nil, fmt.Errorf("service: run of spec %s panicked: %v", strings.Join(hashes, ", "), r)
+		}
+	}()
+	if s.fwd != nil {
+		// Front mode: a peer runs the simulation; data is the peer's
+		// exact report bytes, preserving byte identity cluster-wide. The
+		// peer's progress views relay into the flight's tracker.
+		f := flights[0]
+		data, peer, err := s.fwd.Forward(ctx, f.spec, f.tracker.setRemote)
+		return [][]byte{data}, peer, err
+	}
+	// The observers ride the trials, never the canonical specs, so they
+	// cannot reach canonicalization or the wire.
+	out := make([]*awakemis.Report, len(flights))
+	if _, err := awakemis.Run(ctx, flights[0].spec,
+		awakemis.WithWorkers(s.perRun), awakemis.WithVectorizedTrials(trials, out)); err != nil {
+		return nil, "", err
+	}
+	datas = make([][]byte, len(out))
+	for i, rep := range out {
+		if datas[i], err = json.Marshal(rep); err != nil {
+			return nil, "", err
 		}
 	}
+	return datas, "", nil
 }
 
 // finishLocked records a job reaching a terminal state and enforces

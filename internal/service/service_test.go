@@ -483,3 +483,38 @@ func TestGracefulDrain(t *testing.T) {
 		t.Errorf("post-drain stats: %+v", st)
 	}
 }
+
+// TestPoisonSpecsLeaveDaemonHealthy: a spec whose graph overflows the
+// simulator is refused with 400 when Validate can size it exactly
+// (complete), and when it cannot (gnp at p = 1 builds the same
+// complete graph) the build panic fails the job — its error naming the
+// spec hash — instead of killing the daemon. /v1/healthz stays up
+// after both.
+func TestPoisonSpecsLeaveDaemonHealthy(t *testing.T) {
+	srv, c := newTestServer(t, service.Config{})
+	ctx := context.Background()
+
+	_, err := c.Submit(ctx, awakemis.Spec{Task: "luby", Graph: awakemis.GraphSpec{Family: "complete", N: 47_000}})
+	apiErr := new(client.APIError)
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+		t.Fatalf("complete n=47000: %v, want HTTP 400", err)
+	}
+
+	job, err := c.Submit(ctx, awakemis.Spec{Task: "luby", Graph: awakemis.GraphSpec{Family: "gnp", N: 47_000, P: 1}})
+	if err != nil {
+		t.Fatalf("gnp n=47000 p=1 must pass validation: %v", err)
+	}
+	done, err := c.WaitJob(ctx, job.ID, nil)
+	if err == nil && done.Status == client.JobDone {
+		t.Fatal("gnp n=47000 p=1 produced a report")
+	}
+	if got, _ := c.Job(ctx, job.ID); got == nil || got.Status != client.JobFailed || !strings.Contains(got.Error, job.Hash) {
+		t.Fatalf("poison job = %+v, want failed with an error naming hash %s", got, job.Hash)
+	}
+	if st := srv.StatsSnapshot(); st.JobsFailed != 1 {
+		t.Errorf("jobs_failed = %d, want 1", st.JobsFailed)
+	}
+	if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
+		t.Fatalf("health after poison specs: %+v, %v", h, err)
+	}
+}

@@ -307,7 +307,7 @@ func (s *Server) runStudy(st *studyRun, acc *awakemis.StudyAccumulator) {
 // cell into a vectorGroup so the first worker to reach any of them
 // drives the rest as one merged vectorized run. Lanes a worker already
 // picked up (or the last waiter abandoned) stay out, and a cell with
-// fewer than two groupable lanes is left on the scalar path. Callers
+// fewer than two groupable lanes is left to one-lane passes. Callers
 // hold s.mu.
 func (s *Server) groupCellLocked(cell []*flight) {
 	lanes := make([]*flight, 0, len(cell))

@@ -131,10 +131,10 @@ func TestStudyDirectVsDaemon(t *testing.T) {
 }
 
 // TestStudyDaemonVectorizedVsLocalScalar pins the identity contract
-// across both the execution boundary and the vectorization axis: a
-// daemon-served study (whose cells run as merged vectorized lanes)
-// produces the same artifact as a local run forced onto the per-trial
-// scalar path, at a replication count high enough to exercise wide
+// across both the execution boundary and the lane axis: a daemon-served
+// study (whose cells run as merged vectorized lanes) produces the same
+// artifact as one assembled locally from plain one-lane runs of the
+// expanded specs, at a replication count high enough to exercise wide
 // lane batches.
 func TestStudyDaemonVectorizedVsLocalScalar(t *testing.T) {
 	_, c := newTestServer(t, service.Config{Workers: 2})
@@ -148,8 +148,20 @@ func TestStudyDaemonVectorizedVsLocalScalar(t *testing.T) {
 		Seed:    11,
 		Options: awakemis.Options{Strict: true},
 	}
-	scalar := awakemis.StudyRunner{Scalar: true}
-	local, err := scalar.Run(ctx, spec)
+	acc, err := spec.Accumulator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sp := range acc.Specs() {
+		rep, err := awakemis.Run(ctx, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := acc.Add(i, rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	local, err := acc.Result()
 	if err != nil {
 		t.Fatal(err)
 	}

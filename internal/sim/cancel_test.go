@@ -32,15 +32,31 @@ func spinGoroutineProgram() Program {
 }
 
 // cancelEngines is the grid the cancellation contract covers: the
-// lockstep engine and the stepped engine at several worker counts.
+// lockstep engine and the one-lane vector engine (named "stepped") at
+// several worker counts.
 func cancelEngines() map[string]Engine {
 	return map[string]Engine{
 		"lockstep":  NewLockstepEngine(),
-		"stepped-1": NewSteppedEngine(1),
-		"stepped-4": NewSteppedEngine(4),
+		"stepped-1": soloEngine{workers: 1},
+		"stepped-4": soloEngine{workers: 4},
 	}
 }
 
+// panicAtRound is the step-form twin of panicAtRoundProgram.
+func panicAtRound(r int64) StepProgram {
+	return func(env *NodeEnv) StepNode {
+		return stepFunc(func(round int64, inbox []Inbound, out *Outbox) (int64, bool) {
+			if round >= r {
+				panic("boom")
+			}
+			return round + 1, false
+		})
+	}
+}
+
+// TestCancelMidRunBothEngines cancels spinning runs mid-flight. The
+// vector engine runs step-form programs only: handed a goroutine-form
+// program it must refuse it up front, before running any round.
 func TestCancelMidRunBothEngines(t *testing.T) {
 	g := graph.Cycle(64)
 	progs := map[string]NodeProgram{
@@ -58,6 +74,12 @@ func TestCancelMidRunBothEngines(t *testing.T) {
 				start := time.Now()
 				m, err := eng.Run(ctx, g, prog, Config{Seed: 1})
 				elapsed := time.Since(start)
+				if _, ok := prog.(Program); ok && ename != "lockstep" {
+					if err == nil || errors.Is(err, context.Canceled) || m != nil {
+						t.Fatalf("goroutine program on %s: m=%v err=%v, want an up-front refusal", ename, m, err)
+					}
+					return
+				}
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("err = %v, want context.Canceled", err)
 				}
@@ -119,39 +141,42 @@ func panicAtRoundProgram(r int64) Program {
 	}
 }
 
-// TestAbortedRunsLeakNoGoroutines pins down goroutineAdapter.shutdown
-// (and the lockstep engine's equivalent): every way a run can abort
-// mid-round — context cancellation, deadline, per-node panic, the
-// MaxRounds backstop — must join all per-node program goroutines before
-// Run returns. A leak of even one node per run compounds quickly under
-// the service daemon's batch traffic, so the test drives many aborted
-// runs and requires the goroutine count to settle back to baseline.
+// TestAbortedRunsLeakNoGoroutines: every way a run can abort mid-round
+// — context cancellation, deadline, per-node panic, the MaxRounds
+// backstop — must join every goroutine the run started before Run
+// returns: the lockstep engine's per-node program goroutines and the
+// vector engine's worker pool. A leak of even one per run compounds
+// quickly under the service daemon's batch traffic, so the test drives
+// many aborted runs and requires the goroutine count to settle back to
+// baseline.
 func TestAbortedRunsLeakNoGoroutines(t *testing.T) {
 	g := graph.Cycle(96)
-	engines := cancelEngines()
 	baseline := runtime.NumGoroutine()
 
-	for ename, eng := range engines {
+	for ename, eng := range cancelEngines() {
+		spin, panicky := NodeProgram(spinStepProgram()), NodeProgram(panicAtRound(50))
+		if ename == "lockstep" {
+			spin, panicky = spinGoroutineProgram(), panicAtRoundProgram(50)
+		}
 		for i := 0; i < 5; i++ {
-			// Context cancelled mid-round: per-node goroutines are parked in
-			// the adapter/backend handshake when quit closes.
+			// Context cancelled mid-round.
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
 				time.Sleep(time.Millisecond)
 				cancel()
 			}()
-			if _, err := eng.Run(ctx, g, spinGoroutineProgram(), Config{Seed: int64(i)}); err == nil {
+			if _, err := eng.Run(ctx, g, spin, Config{Seed: int64(i)}); err == nil {
 				t.Fatalf("%s: cancelled run reported success", ename)
 			}
 			cancel()
 
 			// Per-node panic mid-round.
-			if _, err := eng.Run(context.Background(), g, panicAtRoundProgram(50), Config{Seed: int64(i)}); err == nil {
+			if _, err := eng.Run(context.Background(), g, panicky, Config{Seed: int64(i)}); err == nil {
 				t.Fatalf("%s: panicking run reported success", ename)
 			}
 
 			// MaxRounds backstop.
-			if _, err := eng.Run(context.Background(), g, spinGoroutineProgram(), Config{Seed: int64(i), MaxRounds: 64}); !errors.Is(err, ErrMaxRounds) {
+			if _, err := eng.Run(context.Background(), g, spin, Config{Seed: int64(i), MaxRounds: 64}); !errors.Is(err, ErrMaxRounds) {
 				t.Fatalf("%s: err = %v, want ErrMaxRounds", ename, err)
 			}
 		}

@@ -24,8 +24,7 @@ type quitSignal struct{}
 
 // ctxBackend is the engine-side half of a Ctx: how staged sends are
 // transmitted and how the node blocks between awake rounds. The
-// lockstep engine and the stepped engine's goroutine adapter each
-// implement it.
+// lockstep engine implements it.
 type ctxBackend interface {
 	// deliver transmits the sends staged in c.out for the current round
 	// and blocks until the round's inbox is available. It may panic with

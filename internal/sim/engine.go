@@ -2,14 +2,13 @@ package sim
 
 import (
 	"context"
-	"fmt"
 
 	"awakemis/internal/graph"
 )
 
 // NodeProgram is either form of per-node algorithm: Program (goroutine
-// form) or StepProgram (state-machine form). Every Engine accepts both,
-// adapting whichever is not its native form.
+// form) or StepProgram (state-machine form). The lockstep engine runs
+// both; the vector engine runs step-form programs only.
 type NodeProgram interface {
 	isNodeProgram()
 }
@@ -19,7 +18,8 @@ type NodeProgram interface {
 // Config.Seed) runs produce identical Metrics and per-node outputs on
 // every engine.
 type Engine interface {
-	// Name identifies the engine ("lockstep" or "stepped").
+	// Name identifies the engine ("stepped" for the vector engine,
+	// "lockstep" for the reference engine).
 	Name() string
 	// Run executes prog on every node of g under cfg. cfg.Engine is
 	// ignored (the receiver runs the program). Engines poll ctx at every
@@ -29,31 +29,21 @@ type Engine interface {
 	Run(ctx context.Context, g *graph.Graph, prog NodeProgram, cfg Config) (*Metrics, error)
 }
 
-var defaultEngine Engine = NewSteppedEngine(0)
+// Default returns the engine RunStep uses when Config.Engine is nil:
+// the vector engine as a reusable one-lane pass with one worker per
+// CPU.
+func Default() Engine { return soloEngine{} }
 
-// Default returns the engine Run uses when Config.Engine is nil: the
-// stepped engine with one worker per CPU.
-func Default() Engine { return defaultEngine }
+// soloEngine runs each call as a fresh one-lane VectorEngine pass. A
+// single lane is its own last arrival, so the pass is driven on the
+// caller's goroutine with no rendezvous. Zero workers means one per
+// CPU.
+type soloEngine struct{ workers int }
 
-func engineOf(cfg Config) Engine {
-	if cfg.Engine != nil {
-		return cfg.Engine
-	}
-	return defaultEngine
-}
+// Name implements Engine.
+func (soloEngine) Name() string { return "stepped" }
 
-// EngineByName resolves an engine from its CLI/config name: "stepped"
-// (or "") with the given worker count, or "lockstep".
-func EngineByName(name string, workers int) (Engine, error) {
-	switch name {
-	case "", "stepped":
-		if workers == 0 {
-			return defaultEngine, nil
-		}
-		return NewSteppedEngine(workers), nil
-	case "lockstep":
-		return NewLockstepEngine(), nil
-	default:
-		return nil, fmt.Errorf("sim: unknown engine %q (want stepped or lockstep)", name)
-	}
+// Run implements Engine.
+func (e soloEngine) Run(ctx context.Context, g *graph.Graph, prog NodeProgram, cfg Config) (*Metrics, error) {
+	return NewVectorEngine(1, e.workers).Lane(0).Run(ctx, g, prog, cfg)
 }

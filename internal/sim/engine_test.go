@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"context"
+	"errors"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -155,5 +159,135 @@ func TestLongSparseScheduleMetrics(t *testing.T) {
 	}
 	if m.Rounds != 1401 {
 		t.Errorf("Rounds = %d, want 1401", m.Rounds)
+	}
+}
+
+// TestSteppedErrorPaths drives the vector engine's failure paths: each
+// must surface as an error naming the cause, never a crash or hang.
+func TestSteppedErrorPaths(t *testing.T) {
+	eng := soloEngine{workers: 4}
+	g := graph.Path(3)
+
+	t.Run("program-panic", func(t *testing.T) {
+		sp := StepProgram(func(env *NodeEnv) StepNode {
+			return stepFunc(func(round int64, inbox []Inbound, out *Outbox) (int64, bool) {
+				if env.ID == 1 {
+					panic("boom")
+				}
+				return 0, true
+			})
+		})
+		_, err := eng.Run(context.Background(), g, sp, Config{Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "node 1") {
+			t.Fatalf("err = %v, want node 1 panic", err)
+		}
+	})
+
+	t.Run("strict-bandwidth", func(t *testing.T) {
+		sp := StepProgram(func(env *NodeEnv) StepNode {
+			return stepFunc(func(round int64, inbox []Inbound, out *Outbox) (int64, bool) {
+				out.Broadcast(bigMsg{bits: 10_000})
+				return round + 1, false
+			})
+		})
+		_, err := eng.Run(context.Background(), g, sp, Config{Seed: 1, Strict: true})
+		var be *BandwidthError
+		if !errors.As(err, &be) {
+			t.Fatalf("err = %v, want BandwidthError", err)
+		}
+	})
+
+	t.Run("strict-bandwidth-step-form", func(t *testing.T) {
+		sp := StepProgram(func(env *NodeEnv) StepNode { return &bigSender{} })
+		_, err := eng.Run(context.Background(), g, sp, Config{Seed: 1, Strict: true})
+		var be *BandwidthError
+		if !errors.As(err, &be) {
+			t.Fatalf("err = %v, want BandwidthError", err)
+		}
+	})
+
+	t.Run("max-rounds", func(t *testing.T) {
+		sp := StepProgram(func(env *NodeEnv) StepNode {
+			return stepFunc(func(round int64, inbox []Inbound, out *Outbox) (int64, bool) {
+				return round + 101, false
+			})
+		})
+		_, err := eng.Run(context.Background(), g, sp, Config{Seed: 1, MaxRounds: 500})
+		if !errors.Is(err, ErrMaxRounds) {
+			t.Fatalf("err = %v, want ErrMaxRounds", err)
+		}
+	})
+
+	t.Run("invalid-port-step-form", func(t *testing.T) {
+		sp := StepProgram(func(env *NodeEnv) StepNode { return &badPortSender{} })
+		_, err := eng.Run(context.Background(), g, sp, Config{Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "invalid port") {
+			t.Fatalf("err = %v, want invalid port", err)
+		}
+	})
+
+	t.Run("non-monotone-wake", func(t *testing.T) {
+		sp := StepProgram(func(env *NodeEnv) StepNode { return &stuckNode{} })
+		_, err := eng.Run(context.Background(), g, sp, Config{Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "not after round") {
+			t.Fatalf("err = %v, want schedule error", err)
+		}
+	})
+}
+
+type bigSender struct{}
+
+func (bigSender) Start(out *Outbox) { out.Send(0, bigMsg{bits: 10_000}) }
+func (bigSender) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool) {
+	return 0, true
+}
+
+type badPortSender struct{}
+
+func (badPortSender) Start(out *Outbox) {}
+func (badPortSender) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool) {
+	out.Send(99, intMsg(1))
+	return round + 1, false
+}
+
+type stuckNode struct{}
+
+func (stuckNode) Start(out *Outbox) {}
+func (stuckNode) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool) {
+	return round, false // not after the current round
+}
+
+// TestWakeQueueOrder checks the bucket queue pops rounds in order with
+// node indices sorted regardless of insertion order.
+func TestWakeQueueOrder(t *testing.T) {
+	q := newWakeQueue()
+	q.add(7, 3)
+	q.add(2, 9)
+	q.add(7, 1)
+	q.add(2, 4)
+	q.add(5, 0)
+	wantRounds := []int64{2, 5, 7}
+	wantNodes := [][]int{{4, 9}, {0}, {1, 3}}
+	for i := 0; !q.empty(); i++ {
+		r, nodes := q.pop()
+		if r != wantRounds[i] {
+			t.Fatalf("pop %d: round %d, want %d", i, r, wantRounds[i])
+		}
+		if !reflect.DeepEqual(nodes, wantNodes[i]) {
+			t.Fatalf("pop %d: nodes %v, want %v", i, nodes, wantNodes[i])
+		}
+		q.recycle(nodes)
+	}
+}
+
+// TestEngineNames pins the names reports and canonical spec hashes
+// carry: the vector engine, as Default() and as every lane handle, is
+// "stepped".
+func TestEngineNames(t *testing.T) {
+	if NewLockstepEngine().Name() != "lockstep" {
+		t.Error("lockstep engine name wrong")
+	}
+	if Default().Name() != "stepped" || NewVectorEngine(3, 1).Lane(2).Name() != "stepped" {
+		t.Error("vector engine must report the name stepped")
 	}
 }

@@ -1,69 +1,66 @@
-package sim
+// Cross-engine checks of the determinism contract: goroutine-form
+// programs on the lockstep reference engine against their step-form
+// twins on the vector engine, at several worker and lane counts (see
+// simtest.CheckForms).
+package sim_test
 
 import (
-	"context"
-	"errors"
-	"reflect"
-	"strings"
+	"math/rand"
 	"testing"
 
 	"awakemis/internal/graph"
+	"awakemis/internal/sim"
+	"awakemis/internal/simtest"
 )
 
-// testEngines returns every engine configuration under test: the
-// lockstep reference and the stepped engine at several worker counts.
-func testEngines() map[string]Engine {
-	return map[string]Engine{
-		"lockstep":   NewLockstepEngine(),
-		"stepped-1":  NewSteppedEngine(1),
-		"stepped-4":  NewSteppedEngine(4),
-		"stepped-16": NewSteppedEngine(16),
+// num is a small test message carrying one integer.
+type num int64
+
+func (num) Bits() int { return 16 }
+
+// twin pairs a goroutine program with its step-form port; neither
+// records output beyond Metrics.
+func twin(gp sim.Program, sp sim.StepProgram) simtest.Case {
+	return func() (sim.Program, sim.StepProgram, func() any) { return gp, sp, nil }
+}
+
+// stepper adapts a start function and a wake function to a StepNode.
+type stepper struct {
+	start func(out *sim.Outbox)
+	wake  func(round int64, inbox []sim.Inbound, out *sim.Outbox) (int64, bool)
+}
+
+func (s stepper) Start(out *sim.Outbox) {
+	if s.start != nil {
+		s.start(out)
 	}
 }
 
-// runAll executes prog under every engine configuration and asserts all
-// runs produced identical metrics, returning the common metrics.
-func runAll(t *testing.T, g *graph.Graph, prog NodeProgram, cfg Config) *Metrics {
-	t.Helper()
-	var ref *Metrics
-	var refName string
-	for name, eng := range testEngines() {
-		cfg.Engine = eng
-		m, err := eng.Run(context.Background(), g, prog, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if ref == nil {
-			ref, refName = m, name
-			continue
-		}
-		if !reflect.DeepEqual(ref, m) {
-			t.Fatalf("metrics diverge: %s=%+v vs %s=%+v", refName, ref, name, m)
+func (s stepper) OnWake(round int64, inbox []sim.Inbound, out *sim.Outbox) (int64, bool) {
+	return s.wake(round, inbox, out)
+}
+
+// flood broadcasts for a fixed number of rounds, then halts.
+func flood(rounds int64) sim.StepProgram {
+	return func(env *sim.NodeEnv) sim.StepNode {
+		return stepper{
+			start: func(out *sim.Outbox) { out.Broadcast(num(0)) },
+			wake: func(round int64, _ []sim.Inbound, out *sim.Outbox) (int64, bool) {
+				if round == rounds-1 {
+					return 0, true
+				}
+				out.Broadcast(num(round + 1))
+				return round + 1, false
+			},
 		}
 	}
-	return ref
 }
 
-// stepFlood is a native StepNode: broadcast for a fixed number of
-// rounds, then halt.
-type stepFlood struct {
-	rounds int64
-}
-
-func (s *stepFlood) Start(out *Outbox) { out.Broadcast(intMsg(0)) }
-
-func (s *stepFlood) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool) {
-	if round == s.rounds-1 {
-		return 0, true
-	}
-	out.Broadcast(intMsg(round + 1))
-	return round + 1, false
-}
-
+// TestStepProgramAcrossEngines runs one step program on the lockstep
+// engine (as goroutine form) and on the vector engine grid.
 func TestStepProgramAcrossEngines(t *testing.T) {
 	g := graph.Grid(8, 8)
-	sp := StepProgram(func(env *NodeEnv) StepNode { return &stepFlood{rounds: 5} })
-	m := runAll(t, g, sp, Config{Seed: 3})
+	m := simtest.CheckForms(t, g, twin(nil, flood(5)), sim.Config{Seed: 3})
 	if m.Rounds != 5 || m.MaxAwake != 5 {
 		t.Errorf("rounds/maxawake = %d/%d, want 5/5", m.Rounds, m.MaxAwake)
 	}
@@ -76,200 +73,167 @@ func TestStepProgramAcrossEngines(t *testing.T) {
 // TestStepMatchesGoroutineForm runs semantically identical programs in
 // both forms and demands bit-identical metrics.
 func TestStepMatchesGoroutineForm(t *testing.T) {
-	g := graph.Cycle(12)
-	gp := Program(func(ctx *Ctx) {
+	gp := sim.Program(func(ctx *sim.Ctx) {
 		for i := int64(0); i < 5; i++ {
-			ctx.Broadcast(intMsg(i))
+			ctx.Broadcast(num(i))
 			ctx.Deliver()
 			if i < 4 {
 				ctx.Advance()
 			}
 		}
 	})
-	sp := StepProgram(func(env *NodeEnv) StepNode { return &stepFlood{rounds: 5} })
-	a := runAll(t, g, gp, Config{Seed: 9})
-	b := runAll(t, g, sp, Config{Seed: 9})
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("forms diverge: goroutine=%+v step=%+v", a, b)
-	}
+	simtest.CheckForms(t, graph.Cycle(12), twin(gp, flood(5)), sim.Config{Seed: 9})
 }
 
-// TestGoroutineProgramsAcrossEngines exercises the adapter's tricky
-// control-flow paths on every engine: immediate sleep, immediate halt,
-// halting mid-compute (staged sends must still transmit), clock
-// skipping, and randomness-driven schedules.
+// TestGoroutineProgramsAcrossEngines pairs the goroutine form's tricky
+// control-flow paths — immediate sleep, immediate halt, halting
+// mid-compute (staged sends must still transmit), clock skipping, and
+// randomness-driven schedules — with step twins, on graphs with and
+// without edges.
 func TestGoroutineProgramsAcrossEngines(t *testing.T) {
-	progs := map[string]Program{
-		"sleep-at-start": func(ctx *Ctx) {
-			if ctx.Node() == 0 {
-				ctx.SleepUntil(5)
-			}
-		},
-		"halt-immediately": func(ctx *Ctx) {
-			if ctx.Node()%2 == 0 {
-				ctx.Halt()
-			}
-			ctx.Advance()
-			ctx.Advance()
-		},
-		"return-mid-compute": func(ctx *Ctx) {
-			ctx.Advance()
-			// Round 1: stage a send, then return without Deliver; the
-			// engine must still transmit it and meter the round.
-			ctx.Broadcast(intMsg(7))
-		},
-		"clock-skip": func(ctx *Ctx) {
-			ctx.SleepUntil(1_000_000 + int64(ctx.Node()))
-		},
-		"random-schedule": func(ctx *Ctx) {
-			for i := 0; i < 6; i++ {
-				ctx.Broadcast(intMsg(ctx.Rand().Int63n(100)))
-				in := ctx.Deliver()
-				if len(in) > 0 && ctx.Rand().Int63n(2) == 0 {
-					ctx.Sleep(ctx.Rand().Int63n(5))
-				} else {
-					ctx.Advance()
+	cases := map[string]simtest.Case{
+		"sleep-at-start": twin(
+			func(ctx *sim.Ctx) {
+				if ctx.Node() == 0 {
+					ctx.SleepUntil(5)
 				}
-			}
-		},
-		"talk-then-listen": func(ctx *Ctx) {
-			if ctx.Node() < 4 {
-				ctx.Sleep(1)
-				in := ctx.Deliver()
-				if ctx.Node() == 0 && len(in) != 0 {
-					panic("should hear nothing in a skipped round")
+			},
+			func(env *sim.NodeEnv) sim.StepNode {
+				return stepper{wake: func(round int64, _ []sim.Inbound, _ *sim.Outbox) (int64, bool) {
+					return 5, env.ID != 0 || round == 5
+				}}
+			}),
+		"halt-immediately": twin(
+			func(ctx *sim.Ctx) {
+				if ctx.Node()%2 == 0 {
+					ctx.Halt()
 				}
-				return
-			}
-			ctx.Broadcast(intMsg(1))
-			ctx.Deliver()
-			ctx.Advance()
-			ctx.Broadcast(intMsg(2))
-		},
+				ctx.Advance()
+				ctx.Advance()
+			},
+			func(env *sim.NodeEnv) sim.StepNode {
+				return stepper{wake: func(round int64, _ []sim.Inbound, _ *sim.Outbox) (int64, bool) {
+					return round + 1, env.ID%2 == 0 || round == 2
+				}}
+			}),
+		"return-mid-compute": twin(
+			func(ctx *sim.Ctx) {
+				ctx.Advance()
+				// Round 1: stage a send, then return without Deliver; the
+				// engine must still transmit it and meter the round.
+				ctx.Broadcast(num(7))
+			},
+			func(env *sim.NodeEnv) sim.StepNode {
+				return stepper{wake: func(round int64, _ []sim.Inbound, out *sim.Outbox) (int64, bool) {
+					out.Broadcast(num(7))
+					return 1, round == 1
+				}}
+			}),
+		"clock-skip": twin(
+			func(ctx *sim.Ctx) {
+				ctx.SleepUntil(1_000_000 + int64(ctx.Node()))
+			},
+			func(env *sim.NodeEnv) sim.StepNode {
+				return stepper{wake: func(round int64, _ []sim.Inbound, _ *sim.Outbox) (int64, bool) {
+					return 1_000_000 + int64(env.ID), round > 0
+				}}
+			}),
+		"random-schedule": twin(
+			func(ctx *sim.Ctx) {
+				for i := 0; i < 6; i++ {
+					ctx.Broadcast(num(ctx.Rand().Int63n(100)))
+					in := ctx.Deliver()
+					if len(in) > 0 && ctx.Rand().Int63n(2) == 0 {
+						ctx.Sleep(ctx.Rand().Int63n(5))
+					} else {
+						ctx.Advance()
+					}
+				}
+			},
+			func(env *sim.NodeEnv) sim.StepNode {
+				rnd, i := env.Rand, 0
+				return stepper{
+					start: func(out *sim.Outbox) { out.Broadcast(num(rnd.Int63n(100))) },
+					wake: func(round int64, in []sim.Inbound, out *sim.Outbox) (int64, bool) {
+						if i == 6 {
+							return 0, true // the program returned at the top of this round
+						}
+						next := round + 1
+						if len(in) > 0 && rnd.Int63n(2) == 0 {
+							next += rnd.Int63n(5)
+						}
+						if i++; i < 6 {
+							out.Broadcast(num(rnd.Int63n(100)))
+						}
+						return next, false
+					},
+				}
+			}),
+		"talk-then-listen": twin(
+			func(ctx *sim.Ctx) {
+				if ctx.Node() < 4 {
+					ctx.Sleep(1)
+					in := ctx.Deliver()
+					if ctx.Node() == 0 && len(in) != 0 {
+						panic("should hear nothing in a skipped round")
+					}
+					return
+				}
+				ctx.Broadcast(num(1))
+				ctx.Deliver()
+				ctx.Advance()
+				ctx.Broadcast(num(2))
+			},
+			func(env *sim.NodeEnv) sim.StepNode {
+				if env.ID < 4 {
+					return stepper{wake: func(round int64, in []sim.Inbound, _ *sim.Outbox) (int64, bool) {
+						if round == 2 && env.ID == 0 && len(in) != 0 {
+							panic("should hear nothing in a skipped round")
+						}
+						return 2, round == 2
+					}}
+				}
+				return stepper{
+					start: func(out *sim.Outbox) { out.Broadcast(num(1)) },
+					wake: func(round int64, _ []sim.Inbound, out *sim.Outbox) (int64, bool) {
+						out.Broadcast(num(2))
+						return 1, round == 1
+					},
+				}
+			}),
 	}
 	graphs := map[string]*graph.Graph{
 		"cycle": graph.Cycle(10),
 		"star":  graph.Star(9),
 		"empty": graph.New(6),
 	}
-	for pname, prog := range progs {
+	for pname, c := range cases {
 		for gname, g := range graphs {
 			t.Run(pname+"/"+gname, func(t *testing.T) {
-				runAll(t, g, prog, Config{Seed: 11})
+				simtest.CheckForms(t, g, c, sim.Config{Seed: 11})
 			})
 		}
 	}
 }
 
-func TestSteppedErrorPaths(t *testing.T) {
-	stepped := NewSteppedEngine(4)
-	g := graph.Path(3)
-
-	t.Run("program-panic", func(t *testing.T) {
-		prog := Program(func(ctx *Ctx) {
-			if ctx.Node() == 1 {
-				panic("boom")
-			}
-			ctx.Deliver()
-		})
-		_, err := stepped.Run(context.Background(), g, prog, Config{Seed: 1})
-		if err == nil || !strings.Contains(err.Error(), "node 1") {
-			t.Fatalf("err = %v, want node 1 panic", err)
-		}
-	})
-
-	t.Run("strict-bandwidth", func(t *testing.T) {
-		prog := Program(func(ctx *Ctx) {
-			ctx.Send(0, bigMsg{bits: 10_000})
-			ctx.Deliver()
-		})
-		_, err := stepped.Run(context.Background(), g, prog, Config{Seed: 1, Strict: true})
-		var be *BandwidthError
-		if !errors.As(err, &be) {
-			t.Fatalf("err = %v, want BandwidthError", err)
-		}
-	})
-
-	t.Run("strict-bandwidth-step-form", func(t *testing.T) {
-		sp := StepProgram(func(env *NodeEnv) StepNode { return &bigSender{} })
-		_, err := stepped.Run(context.Background(), g, sp, Config{Seed: 1, Strict: true})
-		var be *BandwidthError
-		if !errors.As(err, &be) {
-			t.Fatalf("err = %v, want BandwidthError", err)
-		}
-	})
-
-	t.Run("max-rounds", func(t *testing.T) {
-		prog := Program(func(ctx *Ctx) {
-			for {
-				ctx.Sleep(100)
-			}
-		})
-		_, err := stepped.Run(context.Background(), g, prog, Config{Seed: 1, MaxRounds: 500})
-		if !errors.Is(err, ErrMaxRounds) {
-			t.Fatalf("err = %v, want ErrMaxRounds", err)
-		}
-	})
-
-	t.Run("invalid-port-step-form", func(t *testing.T) {
-		sp := StepProgram(func(env *NodeEnv) StepNode { return &badPortSender{} })
-		_, err := stepped.Run(context.Background(), g, sp, Config{Seed: 1})
-		if err == nil || !strings.Contains(err.Error(), "invalid port") {
-			t.Fatalf("err = %v, want invalid port", err)
-		}
-	})
-
-	t.Run("non-monotone-wake", func(t *testing.T) {
-		sp := StepProgram(func(env *NodeEnv) StepNode { return &stuckNode{} })
-		_, err := stepped.Run(context.Background(), g, sp, Config{Seed: 1})
-		if err == nil || !strings.Contains(err.Error(), "not after round") {
-			t.Fatalf("err = %v, want schedule error", err)
-		}
-	})
-}
-
-type bigSender struct{}
-
-func (bigSender) Start(out *Outbox) { out.Send(0, bigMsg{bits: 10_000}) }
-func (bigSender) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool) {
-	return 0, true
-}
-
-type badPortSender struct{}
-
-func (badPortSender) Start(out *Outbox) {}
-func (badPortSender) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool) {
-	out.Send(99, intMsg(1))
-	return round + 1, false
-}
-
-type stuckNode struct{}
-
-func (stuckNode) Start(out *Outbox) {}
-func (stuckNode) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool) {
-	return round, false // not after the current round
-}
-
-// TestFuzzEquivalence drives randomized programs over randomized graphs
-// through every engine configuration and demands identical metrics and
-// identical per-node receive transcripts.
+// TestFuzzEquivalence drives a randomized program over randomized
+// graphs in both forms and demands identical metrics and identical
+// per-node receive transcripts.
 func TestFuzzEquivalence(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		seed := int64(100 + trial)
-		g := graph.GNP(40, 0.12, newNodeRand(seed, 777))
-		var ref []int64
-		var refName string
-		for name, eng := range testEngines() {
-			sums := make([]int64, g.N())
-			prog := Program(func(ctx *Ctx) {
+		g := graph.GNP(40, 0.12, rand.New(rand.NewSource(seed)))
+		mk := func() (sim.Program, sim.StepProgram, func() any) {
+			gsums := make([]int64, g.N())
+			ssums := make([]int64, g.N())
+			gp := sim.Program(func(ctx *sim.Ctx) {
 				v := ctx.Node()
 				for i := 0; i < 8; i++ {
 					if ctx.Rand().Int63n(3) > 0 {
-						ctx.Broadcast(intMsg(ctx.Rand().Int63n(1000)))
+						ctx.Broadcast(num(ctx.Rand().Int63n(1000)))
 					}
-					in := ctx.Deliver()
-					for _, m := range in {
-						sums[v] += int64(m.Msg.(intMsg)) * int64(m.Port+1)
+					for _, m := range ctx.Deliver() {
+						gsums[v] += int64(m.Msg.(num)) * int64(m.Port+1)
 					}
 					if ctx.Rand().Int63n(4) == 0 {
 						return
@@ -277,59 +241,43 @@ func TestFuzzEquivalence(t *testing.T) {
 					ctx.Sleep(ctx.Rand().Int63n(3))
 				}
 			})
-			if _, err := eng.Run(context.Background(), g, prog, Config{Seed: seed}); err != nil {
-				t.Fatalf("trial %d %s: %v", trial, name, err)
+			sp := sim.StepProgram(func(env *sim.NodeEnv) sim.StepNode {
+				rnd, v, i := env.Rand, env.ID, 0
+				send := func(out *sim.Outbox) {
+					if rnd.Int63n(3) > 0 {
+						out.Broadcast(num(rnd.Int63n(1000)))
+					}
+				}
+				return stepper{
+					start: send,
+					wake: func(round int64, in []sim.Inbound, out *sim.Outbox) (int64, bool) {
+						if i == 8 {
+							return 0, true // the loop ended at the top of this round
+						}
+						for _, m := range in {
+							ssums[v] += int64(m.Msg.(num)) * int64(m.Port+1)
+						}
+						if rnd.Int63n(4) == 0 {
+							return 0, true
+						}
+						next := round + 1 + rnd.Int63n(3)
+						if i++; i < 8 {
+							send(out)
+						}
+						return next, false
+					},
+				}
+			})
+			// Exactly one of the two forms runs per call, so their sum is
+			// that run's transcript.
+			return gp, sp, func() any {
+				sums := make([]int64, g.N())
+				for v := range sums {
+					sums[v] = gsums[v] + ssums[v]
+				}
+				return sums
 			}
-			if ref == nil {
-				ref, refName = sums, name
-				continue
-			}
-			if !reflect.DeepEqual(ref, sums) {
-				t.Fatalf("trial %d: transcript diverges between %s and %s", trial, refName, name)
-			}
 		}
-	}
-}
-
-// TestWakeQueueOrder checks the bucket queue pops rounds in order with
-// node indices sorted regardless of insertion order.
-func TestWakeQueueOrder(t *testing.T) {
-	q := newWakeQueue()
-	q.add(7, 3)
-	q.add(2, 9)
-	q.add(7, 1)
-	q.add(2, 4)
-	q.add(5, 0)
-	wantRounds := []int64{2, 5, 7}
-	wantNodes := [][]int{{4, 9}, {0}, {1, 3}}
-	for i := 0; !q.empty(); i++ {
-		r, nodes := q.pop()
-		if r != wantRounds[i] {
-			t.Fatalf("pop %d: round %d, want %d", i, r, wantRounds[i])
-		}
-		if !reflect.DeepEqual(nodes, wantNodes[i]) {
-			t.Fatalf("pop %d: nodes %v, want %v", i, nodes, wantNodes[i])
-		}
-		q.recycle(nodes)
-	}
-}
-
-func TestEngineNames(t *testing.T) {
-	if NewLockstepEngine().Name() != "lockstep" || NewSteppedEngine(2).Name() != "stepped" {
-		t.Error("engine names wrong")
-	}
-	if Default().Name() != "stepped" {
-		t.Error("default engine must be stepped")
-	}
-	for _, name := range []string{"", "stepped", "lockstep"} {
-		if _, err := EngineByName(name, 0); err != nil {
-			t.Errorf("EngineByName(%q): %v", name, err)
-		}
-	}
-	if _, err := EngineByName("bogus", 0); err == nil {
-		t.Error("bogus engine accepted")
-	}
-	if e, _ := EngineByName("stepped", 3); e.(*steppedEngine).workers != 3 {
-		t.Error("worker count not honored")
+		simtest.CheckForms(t, g, mk, sim.Config{Seed: seed})
 	}
 }

@@ -10,8 +10,9 @@ import (
 
 // lockstepEngine is the reference engine: one goroutine per node,
 // synchronized in lock-step by channels. It is the seed simulator's
-// engine, kept for cross-checking the stepped engine and for debugging
-// (a node program is an ordinary goroutine with a readable stack).
+// engine and the goroutine form's native one, kept as the oracle the
+// vector engine is tested against and for debugging (a node program is
+// an ordinary goroutine with a readable stack).
 type lockstepEngine struct{}
 
 // NewLockstepEngine returns the goroutine-per-node engine.
@@ -64,12 +65,6 @@ type lockstepRun struct {
 	wg     sync.WaitGroup
 	m      Metrics
 }
-
-// outOf implements router.
-func (e *lockstepRun) outOf(v int) []outMsg { return e.states[v].ctx.out }
-
-// inboxOf implements router.
-func (e *lockstepRun) inboxOf(v int) *[]Inbound { return &e.states[v].inbox }
 
 // deliver implements ctxBackend: hand the round's sends to the engine
 // and block for the inbox.
@@ -171,10 +166,8 @@ func (e *lockstepRun) nodeMain(st *lsNode, prog Program) {
 			case nil, haltSignal:
 			case quitSignal:
 				aborted = true
-			case error:
-				st.err = fmt.Errorf("program panic: %w", r)
 			default:
-				st.err = fmt.Errorf("program panic: %v", r)
+				st.err = panicError(r)
 			}
 		}()
 		prog(ctx)
@@ -241,7 +234,7 @@ func (e *lockstepRun) loop(ctx context.Context, q *wakeQueue) error {
 		// Routing: deliver only between mutually awake neighbors. The
 		// evSends handshake ordered each node's ctx.out writes before
 		// this read; the inboxCh send below orders the reset after it.
-		routeRound(e.g, &e.m, e.cfg.Tracer, clock, awake, stamp, cur, e)
+		e.route(clock, awake, stamp, cur)
 
 		// Step 3: deliver inboxes (sorted by port for determinism).
 		for _, v := range awake {
@@ -271,6 +264,50 @@ func (e *lockstepRun) loop(ctx context.Context, q *wakeQueue) error {
 		q.recycle(awake)
 	}
 	return nil
+}
+
+// route delivers one round's staged sends between mutually awake
+// nodes and meters the traffic. Senders are processed in ascending node
+// order (awake is sorted); receivers' inboxes accumulate in that order
+// and are port-sorted before delivery.
+//
+// Reverse ports (the arrival port an Inbound is tagged with) are
+// recovered by a monotone cursor per receiver: because senders arrive
+// in ascending order and CSR rows are sorted, each receiver's arrival
+// ports are ascending within the round, so a galloping search from the
+// receiver's cursor costs O(1) amortized when most neighbors send and
+// O(log degree) when few do, with no reverse-port array held in memory.
+// stamp[v] == clock+1 marks v awake; the function sets it and resets
+// the cursors itself.
+func (e *lockstepRun) route(clock int64, awake []int, stamp []int64, cur []int32) {
+	m, tracer := &e.m, e.cfg.Tracer
+	for _, v := range awake {
+		stamp[v] = clock + 1
+		cur[v] = 0
+	}
+	for _, v := range awake {
+		for _, om := range e.states[v].ctx.out {
+			bits := om.msg.Bits()
+			m.MessagesSent++
+			m.BitsSent += int64(bits)
+			if bits > m.MaxMessageBits {
+				m.MaxMessageBits = bits
+			}
+			w := e.g.Neighbor(v, om.port)
+			delivered := stamp[w] == clock+1
+			if tracer != nil {
+				tracer.Message(clock, v, w, bits, delivered)
+			}
+			if !delivered {
+				continue // receiver asleep: message lost
+			}
+			port := portFrom(e.g.Neighbors(w), int32(v), int(cur[w]))
+			cur[w] = int32(port) // not port+1: v may send on the same port again this round
+			in := &e.states[w].inbox
+			*in = append(*in, Inbound{Port: port, Msg: om.msg})
+			m.MessagesDelivered++
+		}
+	}
 }
 
 // collect waits for exactly count events of the given kind; an evEnd

@@ -4,8 +4,8 @@ package sim
 // StepNode: no goroutine, no channels, just a registered receive
 // continuation per awake round. It exists so that deeply sequential
 // algorithms (the LDT tree procedures, Awake-MIS's phase loop) can be
-// CPS-converted once and then run on the stepped engine's inline hot
-// path instead of through the goroutine adapter.
+// CPS-converted once and then run on the vector engine's inline hot
+// path.
 //
 // A procedure is ordinary Go code whose wake points are expressed as
 // Yield calls: Yield(r, send, recv) declares that the node's next awake

@@ -38,7 +38,7 @@ func (floodBit) Bits() int { return 1 }
 func TestMachineDrivesStepNode(t *testing.T) {
 	g := graph.Cycle(8)
 	for ename, eng := range map[string]Engine{
-		"stepped":  NewSteppedEngine(2),
+		"stepped":  soloEngine{workers: 2},
 		"lockstep": NewLockstepEngine(),
 	} {
 		got := make([]int, g.N())

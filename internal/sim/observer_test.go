@@ -46,7 +46,12 @@ func TestObserverTotalsMatchMetrics(t *testing.T) {
 	g := graph.Grid(16, 16)
 	var ref []RoundStat
 	var refName string
-	for name, eng := range testEngines() {
+	for name, eng := range map[string]Engine{
+		"lockstep":   NewLockstepEngine(),
+		"stepped-1":  soloEngine{workers: 1},
+		"stepped-4":  soloEngine{workers: 4},
+		"stepped-16": soloEngine{workers: 16},
+	} {
 		obs := &obsLog{}
 		cfg := Config{Seed: 11, Engine: eng, Observer: obs}
 		m, err := eng.Run(context.Background(), g, staggerProg, cfg)
@@ -128,18 +133,18 @@ func TestObserverRoundAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := newStepState(g, allocProbe, cfg, true, 1)
+		vs, err := newVecState(g, []StepProgram{allocProbe}, []Config{cfg}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer rs.close()
+		defer vs.close()
 		for i := 0; i < 8; i++ {
-			if err := rs.round(1); err != nil {
+			if err := vs.round(1); err != nil {
 				t.Fatal(err)
 			}
 		}
 		avg := testing.AllocsPerRun(100, func() {
-			if err := rs.round(1); err != nil {
+			if err := vs.round(1); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -10,42 +10,43 @@
 //
 // # Node programs
 //
-// Algorithms come in two interchangeable forms. A Program is a
-// goroutine-style procedure that drives rounds imperatively through a
-// Ctx (Send, Deliver, Sleep). A StepProgram is an explicit state
+// Algorithms come in two forms. A StepProgram is an explicit state
 // machine: the engine calls OnWake once per awake round with the
 // round's inbox, and the node returns the messages for its next awake
-// round plus when that round is. Adapters convert each form to the
-// other, so every engine runs every program.
+// round plus when that round is. Every algorithm ships in this form. A
+// Program is the goroutine-style original that drives rounds
+// imperatively through a Ctx (Send, Deliver, Sleep); it survives as the
+// test oracle the step ports are checked against.
 //
 // # Engines
 //
-// Two Engine implementations execute programs:
+// One engine runs production simulations; a second is the reference:
 //
+//   - VectorEngine runs R ≥ 1 lanes of a step program on one graph in a
+//     single merged pass: struct-of-arrays node state, a wake-time
+//     bucket queue, and each round's OnWake calls fanned across a
+//     worker pool in deterministic shards. A plain run is one lane
+//     (Default). It reports the name "stepped".
 //   - LockstepEngine runs one goroutine per node, synchronized in
-//     lock-step by channels — simple, and the reference semantics.
-//   - SteppedEngine (the default) keeps all node state inline, drives
-//     awake nodes from a wake-time bucket queue, and fans each round's
-//     OnWake calls across a worker pool in deterministic node-index
-//     shards. It avoids per-node goroutines and channel handshakes
-//     entirely, which makes million-node runs feasible.
+//     lock-step by channels. It runs goroutine-form programs natively
+//     (and step programs through an adapter) and is the reference the
+//     tests hold the vector engine to.
 //
 // # Determinism contract
 //
 // For a fixed (graph, program, Config.Seed), both engines — and the
-// stepped engine at every worker count — produce bit-identical results:
-// the same per-node outputs, the same Metrics (including AwakePerNode),
-// and the same message streams. This holds because (a) each node owns a
-// private RNG stream derived from Config.Seed and its index, (b) a
-// node's step depends only on its own state and inbox, and (c) message
-// routing and inbox ordering go through code shared by both engines:
-// senders are processed in ascending node order and each inbox is
-// sorted by arrival port. Cross-engine tests assert this contract for
-// every algorithm in the repository.
+// vector engine at every worker and lane count — produce bit-identical
+// results: the same per-node outputs, the same Metrics (including
+// AwakePerNode), and the same message streams. This holds because
+// (a) each node owns a private RNG stream derived from Config.Seed and
+// its index, (b) a node's step depends only on its own state and
+// inbox, and (c) both routers process senders in ascending node order
+// and sort each inbox by arrival port. Cross-engine tests assert this
+// contract for every algorithm in the repository.
 //
 // The contract covers runs that complete without error. On a failing
 // run both engines report an error, but they differ in which node's
-// failure surfaces and in how far the metrics advanced: the stepped
+// failure surfaces and in how far the metrics advanced: the vector
 // engine aborts at the first failing round (lowest node index first),
 // while the lockstep engine lets unaffected nodes keep running.
 //
@@ -83,7 +84,7 @@ type Inbound struct {
 // Config controls a simulation run. The zero value gives sensible
 // defaults: bandwidth 16·⌈log₂N⌉+16 bits, strict CONGEST enforcement
 // off, a generous round cutoff, N equal to the actual node count, and
-// the default (stepped) engine.
+// the default engine for the program's form.
 type Config struct {
 	// Seed derives every node's private randomness; identical seeds
 	// replay identical executions on every engine.
@@ -108,7 +109,8 @@ type Config struct {
 	// so attaching it costs O(1) per round regardless of n. Observer
 	// methods are called from the engine goroutine only.
 	Observer RoundObserver
-	// Engine selects the runtime engine. Nil means Default().
+	// Engine selects the runtime engine. Nil means Default() for step
+	// programs and the lockstep engine for goroutine programs.
 	Engine Engine
 }
 
@@ -284,8 +286,8 @@ type outMsg struct {
 // Run simulates the goroutine-form prog on every node of g under cfg
 // and returns the measured complexity metrics. It returns an error if
 // any node program panicked, violated the CONGEST bound under Strict,
-// or the run exceeded MaxRounds. The engine is cfg.Engine (Default()
-// when nil).
+// or the run exceeded MaxRounds. The engine is cfg.Engine, or the
+// lockstep engine (the goroutine form's native engine) when nil.
 func Run(g *graph.Graph, prog Program, cfg Config) (*Metrics, error) {
 	return RunContext(context.Background(), g, prog, cfg)
 }
@@ -295,81 +297,31 @@ func Run(g *graph.Graph, prog Program, cfg Config) (*Metrics, error) {
 // wraps ctx.Err() — once it is cancelled or past its deadline. A nil
 // ctx means context.Background().
 func RunContext(ctx context.Context, g *graph.Graph, prog Program, cfg Config) (*Metrics, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	if cfg.Engine == nil {
+		cfg.Engine = NewLockstepEngine()
 	}
-	return engineOf(cfg).Run(ctx, g, prog, cfg)
+	return runOn(ctx, g, prog, cfg)
 }
 
-// RunStep is Run for step-form programs.
+// RunStep is Run for step-form programs; a nil cfg.Engine means
+// Default().
 func RunStep(g *graph.Graph, prog StepProgram, cfg Config) (*Metrics, error) {
 	return RunStepContext(context.Background(), g, prog, cfg)
 }
 
 // RunStepContext is RunContext for step-form programs.
 func RunStepContext(ctx context.Context, g *graph.Graph, prog StepProgram, cfg Config) (*Metrics, error) {
+	if cfg.Engine == nil {
+		cfg.Engine = Default()
+	}
+	return runOn(ctx, g, prog, cfg)
+}
+
+func runOn(ctx context.Context, g *graph.Graph, prog NodeProgram, cfg Config) (*Metrics, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return engineOf(cfg).Run(ctx, g, prog, cfg)
-}
-
-// router gives routeRound access to an engine's staged sends and inbox
-// buffers without per-round closure allocations: both run states
-// (stepState, lockstepRun) implement it directly.
-type router interface {
-	// outOf returns node v's sends staged for the current round.
-	outOf(v int) []outMsg
-	// inboxOf returns the inbox buffer routeRound appends v's
-	// deliveries to.
-	inboxOf(v int) *[]Inbound
-}
-
-// routeRound delivers one round's staged sends between mutually awake
-// nodes and meters the traffic. Senders are processed in ascending node
-// order (awake must be sorted); receivers' inboxes accumulate in that
-// order and are port-sorted before delivery. Both engines route through
-// this function — the cross-engine determinism contract depends on it.
-//
-// Reverse ports (the arrival port an Inbound is tagged with) are
-// recovered by a monotone cursor per receiver: because senders arrive
-// in ascending order and CSR rows are sorted, each receiver's arrival
-// ports are ascending within the round, so a galloping search from the
-// receiver's cursor costs O(1) amortized when most neighbors send and
-// O(log degree) when few do — with no reverse-port array held in
-// memory and no allocation.
-//
-// stamp must satisfy stamp[v] == clock+1 exactly for awake v, and cur
-// is per-receiver cursor scratch; the function establishes both
-// invariants itself.
-func routeRound(g *graph.Graph, m *Metrics, tracer Tracer, clock int64, awake []int, stamp []int64, cur []int32, rt router) {
-	for _, v := range awake {
-		stamp[v] = clock + 1
-		cur[v] = 0
-	}
-	for _, v := range awake {
-		for _, om := range rt.outOf(v) {
-			bits := om.msg.Bits()
-			m.MessagesSent++
-			m.BitsSent += int64(bits)
-			if bits > m.MaxMessageBits {
-				m.MaxMessageBits = bits
-			}
-			w := g.Neighbor(v, om.port)
-			delivered := stamp[w] == clock+1
-			if tracer != nil {
-				tracer.Message(clock, v, w, bits, delivered)
-			}
-			if !delivered {
-				continue // receiver asleep: message lost
-			}
-			port := portFrom(g.Neighbors(w), int32(v), int(cur[w]))
-			cur[w] = int32(port) // not port+1: v may send on the same port again this round
-			in := rt.inboxOf(w)
-			*in = append(*in, Inbound{Port: port, Msg: om.msg})
-			m.MessagesDelivered++
-		}
-	}
+	return cfg.Engine.Run(ctx, g, prog, cfg)
 }
 
 // portFrom returns the index of v in the sorted row nb, searching from

@@ -8,7 +8,7 @@ import (
 // StepProgram is the state-machine form of a per-node algorithm: a
 // factory called once per node at run start. Engines drive the returned
 // StepNode round by round with no dedicated goroutine, which is what
-// lets the stepped engine scale to millions of nodes.
+// lets the vector engine scale to millions of nodes.
 type StepProgram func(env *NodeEnv) StepNode
 
 func (StepProgram) isNodeProgram() {}

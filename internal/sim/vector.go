@@ -13,41 +13,42 @@ import (
 	"awakemis/internal/rng"
 )
 
-// VectorEngine executes R independent replications ("lanes") of a
-// step program on one shared graph in a single merged pass: one wake
-// queue, one adjacency traversal per round, one worker pool — instead
-// of R full simulations. Lanes differ only in their Config (seed,
-// tracer, observer); the graph and program form are shared, which is
-// exactly the shape of a study cell's trial axis.
+// VectorEngine executes R ≥ 1 independent replications ("lanes") of
+// a step program on one shared graph in a single merged pass: one wake
+// queue, one adjacency traversal per round, one worker pool. Lanes
+// differ only in their Config (seed, tracer, observer); the graph and
+// program form are shared, which is exactly the shape of a study
+// cell's trial axis. A plain run is one lane (see Default).
 //
 // The engine is a rendezvous coordinator: the caller obtains one
 // Engine handle per lane with Lane(i) and runs each lane through the
 // ordinary simulation entry points (sim.RunStepContext via Config.
 // Engine). Each handle's Run blocks until every lane has arrived; the
 // last arrival drives the merged simulation inline and the others
-// return its per-lane results. Algorithm packages therefore need no
-// changes — they construct their per-lane programs exactly as for a
-// scalar run, and the handle intercepts execution at the engine
+// return its per-lane results. With one lane the only arrival drives
+// at once, on the caller's goroutine. Algorithm packages therefore
+// need no lane awareness: they construct their per-lane programs as
+// for any run, and the handle intercepts execution at the engine
 // boundary.
 //
-// State is the stepped engine's struct-of-arrays layout widened by a
-// trial lane: every per-node array is indexed by the packed id
-// p = v·R + t (node-major, lane-minor), so one sorted awake list
-// interleaves all lanes and routing walks each CSR row once per
-// sender regardless of how many lanes that sender is awake in. The
-// galloping reverse-port cursors stay per-receiver (size n, shared by
-// all lanes): arrival ports depend only on the (v, w) edge, and the
-// packed order keeps senders ascending in v across lanes, so the
-// scalar cursor invariant carries over unchanged.
+// State is struct-of-arrays widened by a trial lane: every per-node
+// array is indexed by the packed id p = v·R + t (node-major,
+// lane-minor), so one sorted awake list interleaves all lanes and
+// routing walks each CSR row once per sender regardless of how many
+// lanes that sender is awake in. The galloping reverse-port cursors
+// stay per-receiver (size n, shared by all lanes): arrival ports
+// depend only on the (v, w) edge, and the packed order keeps senders
+// ascending in v across lanes, so the one-lane cursor invariant
+// carries over unchanged.
 //
 // Determinism: each lane's per-node RNG streams, routing order, inbox
-// ordering, and metrics are bit-identical to a scalar stepped run of
-// the same (graph, program, Config) — the per-lane subsequence of the
-// merged pass is exactly the scalar pass. The merged round loop is
-// allocation-free at steady state, like the scalar engine (guarded in
-// alloc tests). A failure in any lane aborts the whole merged run;
-// every lane then returns the (deterministic, lowest-packed-index)
-// error.
+// ordering, and metrics are bit-identical to a one-lane run of the
+// same (graph, program, Config), and to the lockstep reference — the
+// per-lane subsequence of the merged pass is exactly the one-lane
+// pass. The merged round loop is allocation-free at steady state
+// (guarded in alloc tests). A failure in any lane aborts the whole
+// merged run; every lane then returns the (deterministic,
+// lowest-packed-index) error.
 type VectorEngine struct {
 	lanes   int
 	workers int
@@ -87,10 +88,10 @@ func NewVectorEngine(lanes, workers int) *VectorEngine {
 	}
 }
 
-// Lane returns lane i's Engine handle. The handle reports the stepped
-// engine's name: vectorization is an execution strategy, not an
-// engine identity — results, reports, and canonical spec hashes are
-// those of the stepped engine.
+// Lane returns lane i's Engine handle. The handle reports the name
+// "stepped", which reports and canonical spec hashes have always
+// carried: the lane count is an execution strategy, not an engine
+// identity.
 func (ve *VectorEngine) Lane(i int) Engine { return &laneEngine{ve: ve, lane: i} }
 
 // Abort unblocks lanes waiting at the rendezvous when another lane
@@ -117,8 +118,7 @@ type laneEngine struct {
 	lane int
 }
 
-// Name implements Engine. Lanes run the stepped engine's semantics
-// and identify as it.
+// Name implements Engine.
 func (le *laneEngine) Name() string { return "stepped" }
 
 // Run implements Engine: register the lane's program and config, and
@@ -183,16 +183,19 @@ func (le *laneEngine) Run(ctx context.Context, g *graph.Graph, prog NodeProgram,
 		}
 	}
 
+	// A failed run still reports each lane's partial metrics (how far
+	// it got), except when it never started.
 	ve.mu.Lock()
 	defer ve.mu.Unlock()
-	if ve.err != nil {
+	if ve.ms == nil {
 		return nil, ve.err
 	}
-	return ve.ms[lane], nil
+	return ve.ms[lane], ve.err
 }
 
 // drive validates cross-lane config agreement, builds the merged
-// state, and runs rounds until every lane's every node halted.
+// state, and runs rounds until every lane's every node halted. On
+// failure it returns the lanes' partial metrics with the error.
 func (ve *VectorEngine) drive(ctx context.Context) ([]*Metrics, error) {
 	base := ve.cfgs[0]
 	for t, cfg := range ve.cfgs {
@@ -207,23 +210,24 @@ func (ve *VectorEngine) drive(ctx context.Context) ([]*Metrics, error) {
 	}
 	vs, err := newVecState(ve.g, ve.progs, ve.cfgs, ve.workers)
 	if err != nil {
-		return nil, err
+		return vs.ms, err
 	}
 	defer vs.close()
 	for !vs.q.empty() {
+		// Honor cancellation at every round boundary: the nodes' inline
+		// state is simply dropped, so an abort needs no unwinding.
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("sim: aborted after round %d: %w", vs.maxRoundSeen(), err)
+			return vs.ms, fmt.Errorf("sim: aborted after round %d: %w", vs.maxRoundSeen(), err)
 		}
 		if err := vs.round(ve.workers); err != nil {
-			return nil, err
+			return vs.ms, err
 		}
 	}
 	return vs.ms, nil
 }
 
-// vecState is the merged run's struct-of-arrays state: the stepped
-// engine's stepState widened by a trial lane. All per-node arrays are
-// indexed by the packed id p = v·R + t.
+// vecState is the merged run's struct-of-arrays state. All per-node
+// arrays are indexed by the packed id p = v·R + t.
 type vecState struct {
 	g    *graph.Graph
 	R    int
@@ -239,17 +243,14 @@ type vecState struct {
 	vOf   []int32    // packed -> node (p/R, precomputed: the hot loops avoid dividing by a runtime R)
 	tOf   []int32    // packed -> lane (p%R)
 
-	// Flat CSR inboxes. A merged round can hold n·R inboxes, so the
-	// scalar engine's slice-per-node buffers would cost 2·n·R slice
-	// headers of GC-scanned memory and a grow-from-nil append per
-	// delivery. Instead route counts each awake receiver's deliveries
+	// Flat CSR inboxes. A merged round can hold n·R inboxes, so
+	// slice-per-node buffers would cost 2·n·R slice headers of
+	// GC-scanned memory and a grow-from-nil append per delivery. Instead route counts each awake receiver's deliveries
 	// (inCount), carves per-receiver regions out of one flat buffer
 	// with a prefix sum over the awake list (inOff), and fills the
-	// regions in a second pass in the same sender order as the scalar
-	// router. The fill advances inOff[p] to the region's end, so a
+	// regions in a second pass in ascending sender order. The fill advances inOff[p] to the region's end, so a
 	// receiver's inbox is inBuf[par][inOff[p]-inCount[p]:inOff[p]].
-	// Two buffers keyed by round parity preserve the scalar engine's
-	// one-round reuse slack for programs that hold the inbox slightly
+	// Two buffers keyed by round parity give one round of reuse slack for programs that hold the inbox slightly
 	// beyond the OnWake contract.
 	inCount []int32      // packed: deliveries to (v,t) this round
 	inOff   []int32      // packed: region start, then fill cursor, then region end
@@ -278,7 +279,7 @@ type vecState struct {
 }
 
 // newVecState builds the merged node state — each lane's machines
-// constructed in the same ascending-node order as a scalar run — and
+// constructed in ascending node order — and
 // stages every (node, lane)'s round-0 sends.
 func newVecState(g *graph.Graph, progs []StepProgram, cfgs []Config, workers int) (*vecState, error) {
 	n, R := g.N(), len(progs)
@@ -316,7 +317,7 @@ func newVecState(g *graph.Graph, progs []StepProgram, cfgs []Config, workers int
 	}
 	// Construction runs in packed order — node-major, lane-minor — so
 	// the slab writes are sequential. Each lane still sees its machines
-	// built in ascending node order, the scalar construction order.
+	// built in ascending node order.
 	for v := 0; v < n; v++ {
 		deg := g.Degree(v)
 		for t := 0; t < R; t++ {
@@ -370,7 +371,7 @@ func (vs *vecState) maxRoundSeen() int64 {
 // each active lane, route every lane's staged sends in one pass, fan
 // the step calls across the pool, and reschedule. The per-lane
 // subsequence of everything that happens here is bit-identical to the
-// scalar engine's round. Factored out (like stepState.round) so the
+// one-lane round. Factored out so the
 // allocation-regression tests can drive it directly.
 func (vs *vecState) round(workers int) error {
 	clock, awake := vs.q.pop()
@@ -380,7 +381,7 @@ func (vs *vecState) round(workers int) error {
 
 	// Detect the lanes with awake nodes this round and count them; only
 	// those lanes observe the round (a lane whose nodes all sleep now
-	// skips it, exactly as its scalar run would).
+	// skips it, exactly as its one-lane run would).
 	R := vs.R
 	vs.active = vs.active[:0]
 	for _, p := range awake {
@@ -434,13 +435,13 @@ func (vs *vecState) round(workers int) error {
 // route delivers one merged round's staged sends. Senders run in
 // packed order — ascending node, lane-minor — so each receiver's
 // arrival ports ascend across the whole merged round regardless of
-// lane, and the scalar per-receiver galloping cursor works unchanged
+// lane, and the per-receiver galloping cursor works unchanged
 // on n entries shared by all R lanes. Metering and delivery are
 // per-lane: a message sent in lane t reaches (w, t) only if that
 // lane's copy of w is awake.
 //
 // Delivery is a counting sort into the round's flat buffer: pass one
-// meters every send exactly like the scalar router — in the same
+// meters every send exactly like the lockstep router — in the same
 // per-message order, so tracers and metrics are bit-identical — and
 // counts each receiver's deliveries; a prefix sum over the awake list
 // carves the buffer into per-receiver regions; pass two resolves
@@ -554,13 +555,7 @@ func (vs *vecState) fail(p int, err error) {
 func (vs *vecState) stepPacked(p int) {
 	defer func() {
 		if r := recover(); r != nil {
-			if f, ok := r.(*nodeFailure); ok {
-				vs.fail(p, f.err)
-			} else {
-				f := &nodeFailure{}
-				f.attach(r)
-				vs.fail(p, f.err)
-			}
+			vs.fail(p, panicError(r))
 		}
 	}()
 	// Native step programs only: the inbox is borrowed for the OnWake
@@ -586,16 +581,22 @@ func (vs *vecState) stepPacked(p int) {
 func (vs *vecState) startNode(p int, sp StepProgram, env *NodeEnv) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if f, ok := r.(*nodeFailure); ok {
-				err = f.err
-			} else {
-				f := &nodeFailure{}
-				f.attach(r)
-				err = f.err
-			}
+			err = panicError(r)
 		}
 	}()
 	vs.node[p] = sp(env)
 	vs.node[p].Start(&vs.out[p])
 	return nil
+}
+
+// haltedWake marks a node that returned done from its last OnWake.
+const haltedWake = math.MinInt64
+
+// panicError converts a recovered node-program panic into the error
+// the run reports.
+func panicError(r any) error {
+	if err, ok := r.(error); ok {
+		return fmt.Errorf("program panic: %w", err)
+	}
+	return fmt.Errorf("program panic: %v", r)
 }

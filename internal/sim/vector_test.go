@@ -71,8 +71,9 @@ func runVectorLanes(t *testing.T, g *graph.Graph, progs []StepProgram, cfgs []Co
 
 // TestVectorMatchesScalar is the vector engine's determinism contract:
 // every lane of a merged run produces Metrics and an observer stream
-// bit-identical to a scalar stepped run of the same (graph, program,
-// seed) — at several worker counts, on graphs dense and sparse.
+// bit-identical to a lockstep reference run of the same (graph,
+// program, seed) — at several worker counts, on graphs dense and
+// sparse.
 func TestVectorMatchesScalar(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"cycle": graph.Cycle(64),
@@ -86,10 +87,10 @@ func TestVectorMatchesScalar(t *testing.T) {
 			var wantObs [][]RoundStat
 			for _, seed := range seeds {
 				rec := &statRecorder{}
-				m, err := NewSteppedEngine(1).Run(context.Background(), g, vecProbe,
+				m, err := NewLockstepEngine().Run(context.Background(), g, vecProbe,
 					Config{Seed: seed, Observer: rec})
 				if err != nil {
-					t.Fatalf("%s: scalar seed %d: %v", gname, seed, err)
+					t.Fatalf("%s: lockstep seed %d: %v", gname, seed, err)
 				}
 				wantMS = append(wantMS, m)
 				wantObs = append(wantObs, rec.stats)
@@ -109,21 +110,22 @@ func TestVectorMatchesScalar(t *testing.T) {
 					t.Fatalf("%s workers=%d lane %d: %v", gname, workers, i, errs[i])
 				}
 				if !reflect.DeepEqual(ms[i], wantMS[i]) {
-					t.Errorf("%s workers=%d lane %d metrics diverge:\nvector %+v\nscalar %+v",
+					t.Errorf("%s workers=%d lane %d metrics diverge:\nvector %+v\nlockstep %+v",
 						gname, workers, i, ms[i], wantMS[i])
 				}
 				if !reflect.DeepEqual(recs[i].stats, wantObs[i]) {
-					t.Errorf("%s workers=%d lane %d observer stream diverges from scalar", gname, workers, i)
+					t.Errorf("%s workers=%d lane %d observer stream diverges from lockstep", gname, workers, i)
 				}
 			}
 		}
 	}
 }
 
-// TestVectorSingleLane pins the degenerate R=1 case to the scalar run.
+// TestVectorSingleLane pins the one-lane pass — every plain run — to
+// the lockstep reference.
 func TestVectorSingleLane(t *testing.T) {
 	g := graph.Cycle(32)
-	want, err := NewSteppedEngine(1).Run(context.Background(), g, vecProbe, Config{Seed: 11})
+	want, err := NewLockstepEngine().Run(context.Background(), g, vecProbe, Config{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestVectorSingleLane(t *testing.T) {
 		t.Fatal(errs[0])
 	}
 	if !reflect.DeepEqual(ms[0], want) {
-		t.Errorf("single-lane vector diverges from scalar:\nvector %+v\nscalar %+v", ms[0], want)
+		t.Errorf("single-lane vector diverges from lockstep:\nvector %+v\nlockstep %+v", ms[0], want)
 	}
 }
 
@@ -206,18 +208,30 @@ func TestVectorRejectsGoroutinePrograms(t *testing.T) {
 	}
 }
 
-// TestVectorRoundZeroAllocs extends the stepped engine's steady-state
-// allocation guard to the merged round loop: with nil observers, a
-// full vectorized round over 4 lanes — lane detection, per-lane
-// metering, one-pass routing through the shared reverse-port cursors,
-// the step fan-out, and rescheduling — allocates nothing.
+// TestVectorRoundZeroAllocs pins the engine's steady-state invariant:
+// once buffers have grown to their steady-state capacity, a full round
+// — lane detection, per-lane metering, one-pass routing through the
+// shared reverse-port cursors, inbox sorting, the step fan-out, and
+// rescheduling — performs zero heap allocations with nil observers. It
+// covers a 4-lane merged pass and the one-lane pass every plain run
+// takes, each at 512 packed entries (≥ minParallel, so workers=4
+// exercises the pool). A regression here (a closure creeping into the
+// hot path, sort.Slice, per-round goroutines, inbox reallocation)
+// fails the test rather than silently costing 10x at n=10⁷.
 func TestVectorRoundZeroAllocs(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(map[int]string{1: "workers=1", 4: "workers=4"}[workers], func(t *testing.T) {
-			g := graph.Cycle(128)
-			const lanes = 4
-			progs := make([]StepProgram, lanes)
-			cfgs := make([]Config, lanes)
+	for _, tc := range []struct {
+		name           string
+		lanes, workers int
+	}{
+		{"workers=1", 4, 1},
+		{"workers=4", 4, 4},
+		{"lanes=1/workers=1", 1, 1},
+		{"lanes=1/workers=4", 1, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.Cycle(512 / tc.lanes)
+			progs := make([]StepProgram, tc.lanes)
+			cfgs := make([]Config, tc.lanes)
 			for i := range progs {
 				progs[i] = allocProbe
 				cfg, err := Config{Seed: int64(i + 1)}.withDefaults(g.N())
@@ -226,24 +240,26 @@ func TestVectorRoundZeroAllocs(t *testing.T) {
 				}
 				cfgs[i] = cfg
 			}
-			vs, err := newVecState(g, progs, cfgs, workers)
+			vs, err := newVecState(g, progs, cfgs, tc.workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer vs.close()
 
+			// Warm up: grow the inbox buffers for both round parities, the
+			// wake queue's bucket pool, and the outbox slices.
 			for i := 0; i < 8; i++ {
-				if err := vs.round(workers); err != nil {
+				if err := vs.round(tc.workers); err != nil {
 					t.Fatal(err)
 				}
 			}
 			avg := testing.AllocsPerRun(100, func() {
-				if err := vs.round(workers); err != nil {
+				if err := vs.round(tc.workers); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if avg != 0 {
-				t.Errorf("steady-state vectorized round allocates %.1f objects/round, want 0", avg)
+				t.Errorf("steady-state round allocates %.1f objects/round, want 0", avg)
 			}
 		})
 	}

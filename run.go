@@ -8,8 +8,7 @@ import (
 	"awakemis/internal/sim"
 )
 
-// RunOption configures Run. Options compose left to right; the zero
-// set reproduces RunSpecContext exactly.
+// RunOption configures Run. Options compose left to right.
 type RunOption func(*runOptions)
 
 type runOptions struct {
@@ -19,12 +18,12 @@ type runOptions struct {
 	out      []*Report
 }
 
-// WithWorkers sets an explicit stepped-engine worker-pool size that
-// overrides Options.Workers without being recorded in the Report — the
-// caller's share of a machine-wide budget. The Runner and the service
-// daemon use it to divide one budget among concurrent runs while
-// keeping reports bit-identical to standalone calls (worker counts
-// never change results). Zero falls back to Options.Workers.
+// WithWorkers sets an explicit engine worker-pool size that overrides
+// Options.Workers without being recorded in the Report — the caller's
+// share of a machine-wide budget. The Runner and the service daemon
+// use it to divide one budget among concurrent runs while keeping
+// reports bit-identical to standalone calls (worker counts never
+// change results). Zero falls back to Options.Workers.
 func WithWorkers(n int) RunOption {
 	return func(ro *runOptions) { ro.workers = n }
 }
@@ -47,24 +46,23 @@ type Trial struct {
 
 // WithVectorizedTrials runs the Spec once per trial — re-seeded per
 // Trial — and fills out (which must have exactly one slot per trial)
-// with the per-trial Reports; Run returns out[0]. When the trials are
-// vectorizable — at least two of them, the stepped engine, and an
-// explicit Graph.Seed so every trial shares one graph — all lanes
-// execute in a single merged pass over the adjacency (one traversal
-// per round feeds every lane's independent splitmix64 stream); each
-// lane's Report stays bit-identical to a standalone scalar run of the
-// same per-trial Spec, WallMS aside. Otherwise the trials run as an
-// ordinary scalar loop with the same results. A failure in any trial
-// fails the whole call.
+// with the per-trial Reports; Run returns out[0]. With an explicit
+// Graph.Seed every trial shares one graph, and the R trials run as the
+// R lanes of one merged pass over its adjacency (one traversal per
+// round feeds every lane's independent splitmix64 stream). With a zero
+// Graph.Seed each trial's graph derives from its own seed, so the
+// trials run as R one-lane passes. Either way each lane's Report is
+// bit-identical to a plain Run of the same per-trial Spec, WallMS
+// aside. A failure in any trial fails the whole call.
 func WithVectorizedTrials(trials []Trial, out []*Report) RunOption {
 	return func(ro *runOptions) { ro.trials, ro.out = trials, out }
 }
 
 // Run builds the spec's graph and executes its task, returning the
-// Report. It is the single consolidated entry point replacing the
-// RunSpec / RunSpecContext / RunSpecWorkers trio: behavior beyond the
-// plain run — worker budgets, observers, vectorized trial batches — is
-// selected with functional options instead of more variants.
+// Report. It is the single spec-driven entry point: behavior beyond
+// the plain run — worker budgets, observers, trial batches — is
+// selected with functional options. Every run is R ≥ 1 lanes on one
+// graph: a plain spec is one lane, and WithVectorizedTrials supplies R.
 func Run(ctx context.Context, spec Spec, opts ...RunOption) (*Report, error) {
 	var ro runOptions
 	for _, opt := range opts {
@@ -77,93 +75,91 @@ func Run(ctx context.Context, spec Spec, opts ...RunOption) (*Report, error) {
 	if ro.observer != nil {
 		spec.Options.Observer = ro.observer
 	}
-	if ro.trials == nil {
-		return runSpec(ctx, spec, workers)
-	}
-	if len(ro.out) != len(ro.trials) {
-		return nil, fmt.Errorf("awakemis: WithVectorizedTrials: %d trials but %d report slots", len(ro.trials), len(ro.out))
-	}
-	if len(ro.trials) == 0 {
-		return nil, fmt.Errorf("awakemis: WithVectorizedTrials: no trials")
-	}
-
-	specs := make([]Spec, len(ro.trials))
-	for i, tr := range ro.trials {
-		sp := spec
-		sp.Options.Seed = tr.Seed
-		sp.Options.Observer = tr.Observer
-		if tr.Name != "" {
-			sp.Name = tr.Name
+	specs, out := []Spec{spec}, make([]*Report, 1)
+	if ro.trials != nil {
+		if len(ro.out) != len(ro.trials) {
+			return nil, fmt.Errorf("awakemis: WithVectorizedTrials: %d trials but %d report slots", len(ro.trials), len(ro.out))
 		}
-		specs[i] = sp
-	}
-
-	if !vectorizable(spec, len(specs)) {
-		for i := range specs {
-			rep, err := runSpec(ctx, specs[i], workers)
-			if err != nil {
-				return nil, err
+		if len(ro.trials) == 0 {
+			return nil, fmt.Errorf("awakemis: WithVectorizedTrials: no trials")
+		}
+		specs, out = make([]Spec, len(ro.trials)), ro.out
+		for i, tr := range ro.trials {
+			sp := spec
+			sp.Options.Seed = tr.Seed
+			sp.Options.Observer = tr.Observer
+			if tr.Name != "" {
+				sp.Name = tr.Name
 			}
-			ro.out[i] = rep
+			specs[i] = sp
 		}
-		return ro.out[0], nil
 	}
-	if err := runVectorized(ctx, specs, workers, ro.out); err != nil {
-		return nil, err
-	}
-	return ro.out[0], nil
-}
-
-// vectorizable reports whether R trials of this spec can share one
-// merged pass: at least two lanes, the stepped engine (the lockstep
-// engine has no lane support), and an explicit Graph.Seed — with a
-// zero Graph.Seed the graph derives from each trial's run seed, so the
-// trials would not share a graph at all.
-func vectorizable(spec Spec, r int) bool {
-	if r < 2 || spec.Graph.Seed == 0 {
-		return false
-	}
-	return spec.Options.Engine == "" || spec.Options.Engine == EngineStepped
-}
-
-// runVectorized executes the per-trial specs as lanes of one merged
-// stepped pass. Each lane runs the ordinary task pipeline — per-lane
-// IDs, tracer, observer, verification, Report assembly — against a
-// lane handle of one shared sim.VectorEngine, so the algorithm code
-// and the report contents are exactly the scalar path's.
-func runVectorized(ctx context.Context, specs []Spec, workers int, out []*Report) error {
 	for i := range specs {
 		if err := specs[i].Validate(); err != nil {
-			return err
+			return nil, err
 		}
 	}
+	// Trials share a graph only when its seed is explicit; otherwise
+	// each trial's graph derives from its own seed.
+	lanes := len(specs)
+	if spec.Graph.Seed == 0 {
+		lanes = 1
+	}
+	for lo := 0; lo < len(specs); lo += lanes {
+		if err := runLanes(ctx, specs[lo:lo+lanes], workers, out[lo:lo+lanes]); err != nil {
+			return nil, err
+		}
+	}
+	return out[0], nil
+}
+
+// runLanes builds the graph the specs share and runs them as the lanes
+// of one sim.VectorEngine pass, filling out. Each lane runs the whole
+// task pipeline — IDs, tracer, observer, verification, Report assembly
+// — against its own lane handle. Lane 0 runs on the caller's
+// goroutine, so a one-lane pass needs no other goroutine at all.
+func runLanes(ctx context.Context, specs []Spec, workers int, out []*Report) error {
 	g, err := specs[0].Graph.build(specs[0].Options.Seed)
 	if err != nil {
 		return fmt.Errorf("awakemis: spec %s: %w", specs[0].label(), err)
 	}
-
 	ve := sim.NewVectorEngine(len(specs), workers)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, len(specs))
+	fail := func(i int, err error) {
+		errs[i] = err
+		// The lane may fail before reaching its engine call (it would
+		// never arrive at the rendezvous): release the others.
+		ve.Abort(err)
+		cancel()
+	}
+	lane := func(i int) {
+		// Node-program panics are engine errors already; this catches
+		// the rest of the task pipeline, which lanes 1.. run on their
+		// own goroutines.
+		defer func() {
+			if r := recover(); r != nil {
+				fail(i, fmt.Errorf("awakemis: %s: panic: %v", specs[i].label(), r))
+			}
+		}()
+		rep, err := runTask(ctx, g, specs[i].Task, specs[i].Options, ve.Lane(i))
+		if err != nil {
+			fail(i, err)
+			return
+		}
+		rep.Name = specs[i].Name
+		out[i] = rep
+	}
 	var wg sync.WaitGroup
-	for i := range specs {
+	for i := 1; i < len(specs); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rep, err := runTaskOn(ctx, g, specs[i].Task, specs[i].Options, ve.Lane(i))
-			if err != nil {
-				errs[i] = err
-				// The lane may fail before reaching its engine call (it would
-				// never arrive at the rendezvous): release the others.
-				ve.Abort(err)
-				cancel()
-				return
-			}
-			rep.Name = specs[i].Name
-			out[i] = rep
+			lane(i)
 		}(i)
 	}
+	lane(0)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

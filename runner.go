@@ -25,17 +25,17 @@ type Progress struct {
 }
 
 // Runner executes batches of Specs concurrently. The zero value is
-// usable: one spec in flight per CPU, a shared stepped-engine worker
-// budget of one per CPU, and root seed 0.
+// usable: one spec in flight per CPU, a shared engine worker budget of
+// one per CPU, and root seed 0.
 //
 // Results are deterministic: a batch produces bit-identical Reports
 // (up to WallMS) to running each resolved spec sequentially through
-// RunSpec, at every Parallel and Workers setting.
+// Run, at every Parallel and Workers setting.
 type Runner struct {
 	// Parallel caps how many specs run concurrently (0 means one per
 	// CPU).
 	Parallel int
-	// Workers is the total stepped-engine worker budget, divided evenly
+	// Workers is the total engine worker budget, divided evenly
 	// among the specs in flight (0 means one per CPU). A spec whose
 	// Options.Workers is set explicitly keeps its own pool instead.
 	// Worker counts never change results, only wall-clock time.
@@ -50,7 +50,7 @@ type Runner struct {
 
 // Resolve returns the spec as the Runner would run it at batch index
 // i: a zero Options.Seed replaced by the derived per-spec seed.
-// RunSpec on the resolved spec reproduces the batch entry exactly.
+// Run on the resolved spec reproduces the batch entry exactly.
 func (r *Runner) Resolve(spec Spec, i int) Spec {
 	if spec.Options.Seed == 0 {
 		spec.Options.Seed = rng.Derive(r.Seed, "spec", int64(i))
@@ -104,7 +104,7 @@ func (r *Runner) RunBatch(ctx context.Context, specs []Spec) ([]*Report, error) 
 					if workers == 0 {
 						workers = perSpec
 					}
-					rep, err = runSpec(ctx, spec, workers)
+					rep, err = Run(ctx, spec, WithWorkers(workers))
 					<-sem
 				case <-ctx.Done():
 					err = ctx.Err()

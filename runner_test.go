@@ -23,7 +23,7 @@ func batchSpecs() []awakemis.Spec {
 		{Task: "vt-mis", Graph: awakemis.GraphSpec{Family: "tree", N: 40}},
 		{Task: "ldt-mis", Graph: awakemis.GraphSpec{Family: "gnp", N: 36, P: 0.1}},
 		{Task: "coloring", Graph: awakemis.GraphSpec{Family: "geometric", N: 50, Radius: 0.2}},
-		{Task: "matching", Graph: awakemis.GraphSpec{Family: "gnp", N: 55, P: 0.07}, Options: awakemis.Options{Seed: 2, Engine: awakemis.EngineLockstep}},
+		{Task: "matching", Graph: awakemis.GraphSpec{Family: "gnp", N: 55, P: 0.07}, Options: awakemis.Options{Seed: 2, Engine: awakemis.EngineStepped}},
 	}
 }
 

@@ -1,10 +1,5 @@
 package awakemis
 
-import (
-	"context"
-	"fmt"
-)
-
 // GraphSpec describes a generated input graph declaratively, so a Spec
 // is fully serializable: the same JSON always reproduces the same
 // graph. The fields mirror Generate / GenOptions.
@@ -54,50 +49,6 @@ type Spec struct {
 	// through deterministic derivation (see Runner.Seed); Run uses it
 	// as-is.
 	Options Options `json:"options"`
-}
-
-// RunSpec builds the spec's graph and executes its task, returning the
-// Report.
-//
-// Deprecated: use Run(context.Background(), spec). RunSpec is a thin
-// delegate kept for compatibility.
-func RunSpec(spec Spec) (*Report, error) {
-	return Run(context.Background(), spec)
-}
-
-// RunSpecContext is RunSpec under a context.
-//
-// Deprecated: use Run(ctx, spec). RunSpecContext is a thin delegate
-// kept for compatibility.
-func RunSpecContext(ctx context.Context, spec Spec) (*Report, error) {
-	return Run(ctx, spec)
-}
-
-// RunSpecWorkers is RunSpecContext with an explicit stepped-engine
-// worker-pool size.
-//
-// Deprecated: use Run(ctx, spec, WithWorkers(workers)). RunSpecWorkers
-// is a thin delegate kept for compatibility.
-func RunSpecWorkers(ctx context.Context, spec Spec, workers int) (*Report, error) {
-	return Run(ctx, spec, WithWorkers(workers))
-}
-
-// runSpec runs one spec with an explicit worker-pool size (the
-// Runner's share of its budget; never recorded in the Report).
-func runSpec(ctx context.Context, spec Spec, workers int) (*Report, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	g, err := spec.Graph.build(spec.Options.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("awakemis: spec %s: %w", spec.label(), err)
-	}
-	rep, err := runTask(ctx, g, spec.Task, spec.Options, workers)
-	if err != nil {
-		return nil, err
-	}
-	rep.Name = spec.Name
-	return rep, nil
 }
 
 // label names the spec in errors and progress lines.

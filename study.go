@@ -23,12 +23,11 @@ import (
 // cell's trials and fits every metric's growth over the n-sweep.
 //
 // Seeds derive through internal/rng: one graph seed per (family,
-// size) and one run seed per (family, size, trial). Every task,
-// engine, and trial in one cell column therefore runs on an identical
-// graph — cross-task comparisons are paired, an engine axis is a pure
-// determinism check, and replication measures algorithmic randomness
-// on a fixed input, which is what lets executors batch a cell's
-// trials into one vectorized pass. StudySpec marshals to/from JSON (the
+// size) and one run seed per (family, size, trial). Every task and
+// trial in one cell column therefore runs on an identical graph —
+// cross-task comparisons are paired, and replication measures
+// algorithmic randomness on a fixed input, which is what lets
+// executors batch a cell's trials into one vectorized pass. StudySpec marshals to/from JSON (the
 // `awakemis -study` file, the POST /v1/studies body, and the
 // `graphgen -format study` output).
 type StudySpec struct {
@@ -44,9 +43,9 @@ type StudySpec struct {
 	// Sizes is the n-sweep (default 64, 256, 1024). Growth fits need at
 	// least two sizes.
 	Sizes []int `json:"sizes,omitempty"`
-	// Engines lists the engines to run (default: the stepped engine).
-	// Results never depend on the engine; a two-engine study is a
-	// determinism check that costs 2× the simulations.
+	// Engines is the engine axis. The only engine is EngineStepped
+	// (the default); the axis stays part of the spec and artifact
+	// shape.
 	Engines []Engine `json:"engines,omitempty"`
 	// Trials is the replication count per cell (default 3).
 	Trials int `json:"trials,omitempty"`
@@ -622,12 +621,11 @@ func (a *StudyAccumulator) Result() (*StudyResult, error) {
 
 // StudyRunner executes studies locally: the streaming unit executor.
 // The expansion is scheduled in units of one cell — the Trials
-// consecutive specs sharing a graph — and a unit whose trials
-// vectorize (≥2 trials, the stepped engine) runs as one merged pass
-// through Run's WithVectorizedTrials instead of Trials scalar runs;
-// other units fall back to a scalar loop. Either way the per-trial
-// Reports, and therefore the artifact, are bit-identical (WallMS
-// aside). Units run concurrently under a shared worker budget,
+// consecutive specs sharing a graph — and each unit runs as one
+// merged Trials-lane pass through Run's WithVectorizedTrials. The
+// per-trial Reports, and therefore the artifact, are bit-identical
+// (WallMS aside) to plain runs of the expanded specs. Units run
+// concurrently under a shared worker budget,
 // Reports fold into the accumulator as units complete, and the
 // artifact is assembled when the grid drains. The zero value is
 // usable.
@@ -635,13 +633,9 @@ type StudyRunner struct {
 	// Parallel caps how many units run concurrently (0 means one per
 	// CPU).
 	Parallel int
-	// Workers is the total stepped-engine worker budget divided among
-	// the units in flight (0 means one per CPU). Never changes results.
+	// Workers is the total engine worker budget divided among the
+	// units in flight (0 means one per CPU). Never changes results.
 	Workers int
-	// Scalar forces every unit onto the per-trial scalar path. Results
-	// are identical; the switch exists for debugging and for the
-	// vectorized-vs-scalar identity suites.
-	Scalar bool
 	// OnProgress, when non-nil, receives one callback per finished
 	// spec, serialized.
 	OnProgress func(Progress)
@@ -720,18 +714,12 @@ func (sr *StudyRunner) Run(ctx context.Context, ss StudySpec) (*StudyResult, err
 			select {
 			case sem <- struct{}{}:
 				defer func() { <-sem }()
-				if !sr.Scalar && vectorizable(unit[0], trials) {
-					tr := make([]Trial, trials)
-					for j, sp := range unit {
-						tr[j] = Trial{Seed: sp.Options.Seed, Name: sp.Name}
-					}
-					if _, err := Run(ctx, unit[0], WithWorkers(perUnit), WithVectorizedTrials(tr, reps)); err != nil {
-						fail(err)
-					}
-				} else {
-					for j := range unit {
-						reps[j], unitErrs[j] = Run(ctx, unit[j], WithWorkers(perUnit))
-					}
+				tr := make([]Trial, trials)
+				for j, sp := range unit {
+					tr[j] = Trial{Seed: sp.Options.Seed, Name: sp.Name}
+				}
+				if _, err := Run(ctx, unit[0], WithWorkers(perUnit), WithVectorizedTrials(tr, reps)); err != nil {
+					fail(err)
 				}
 			case <-ctx.Done():
 				fail(ctx.Err())

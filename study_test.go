@@ -44,14 +44,14 @@ func TestStudySpecExpansion(t *testing.T) {
 		Tasks:    []string{"awake-mis", "luby"},
 		Families: []awakemis.GraphSpec{{Family: "gnp"}, {Family: "Regular", Degree: 6}},
 		Sizes:    []int{32, 64},
-		Engines:  []awakemis.Engine{"", awakemis.EngineLockstep},
+		Engines:  []awakemis.Engine{""},
 		Trials:   2,
 		Seed:     9,
 	}
 	cells := ss.Cells()
 	specs := ss.Specs()
-	if len(cells) != 2*2*2*2 {
-		t.Fatalf("cells = %d, want 16", len(cells))
+	if len(cells) != 2*2*2 {
+		t.Fatalf("cells = %d, want 8", len(cells))
 	}
 	if len(specs) != len(cells)*2 {
 		t.Fatalf("specs = %d, want %d", len(specs), len(cells)*2)
@@ -178,11 +178,11 @@ func TestStudyArtifactDeterminism(t *testing.T) {
 	}
 }
 
-// TestStudyVectorizedMatchesScalar pins the vectorized executor's
-// identity contract: at every replication count and worker setting,
-// the trial-vectorized path (the default whenever a cell has R ≥ 2)
-// produces a StudyResult artifact byte-identical to the per-trial
-// scalar path.
+// TestStudyVectorizedMatchesScalar pins the executor's identity
+// contract: at every replication count and worker setting, running
+// each cell as one Trials-lane pass produces a StudyResult artifact
+// byte-identical to one assembled from plain one-lane Runs of the
+// expanded specs.
 func TestStudyVectorizedMatchesScalar(t *testing.T) {
 	for _, trials := range []int{1, 3, 8} {
 		ss := awakemis.StudySpec{
@@ -193,25 +193,39 @@ func TestStudyVectorizedMatchesScalar(t *testing.T) {
 			Seed:    11,
 			Options: awakemis.Options{Strict: true},
 		}
-		var golden []byte
+		acc, err := ss.Accumulator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, spec := range acc.Specs() {
+			rep, err := awakemis.Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := acc.Add(i, rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := acc.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden, err := res.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{1, 4} {
-			for _, scalar := range []bool{true, false} {
-				sr := awakemis.StudyRunner{Workers: workers, Scalar: scalar}
-				res, err := sr.Run(context.Background(), ss)
-				if err != nil {
-					t.Fatalf("trials=%d workers=%d scalar=%v: %v", trials, workers, scalar, err)
-				}
-				data, err := res.JSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if golden == nil {
-					golden = data
-					continue
-				}
-				if string(data) != string(golden) {
-					t.Fatalf("artifact differs at trials=%d workers=%d scalar=%v", trials, workers, scalar)
-				}
+			sr := awakemis.StudyRunner{Workers: workers}
+			res, err := sr.Run(context.Background(), ss)
+			if err != nil {
+				t.Fatalf("trials=%d workers=%d: %v", trials, workers, err)
+			}
+			data, err := res.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(data) != string(golden) {
+				t.Fatalf("artifact differs from one-lane runs at trials=%d workers=%d", trials, workers)
 			}
 		}
 	}

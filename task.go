@@ -14,8 +14,7 @@ import (
 
 // Task is one registered problem: a name, an ID-assignment scheme, a
 // run function, and an output verifier. Every public entry point —
-// RunTask, Run, RunMIS, Runner.RunBatch, the deprecated wrappers, and
-// both CLIs — dispatches through the task registry, so adding a
+// RunTask, Run, RunMIS, Runner.RunBatch, and the CLIs — dispatches through the task registry, so adding a
 // problem means registering a Task, not editing the facade.
 type Task struct {
 	// Name identifies the task ("awake-mis", "coloring", ...).
@@ -101,36 +100,19 @@ func RunTask(g *Graph, task string, opt Options) (*Report, error) {
 // deadline aborts the simulation at the next round boundary and
 // returns an error wrapping ctx.Err().
 func RunTaskContext(ctx context.Context, g *Graph, task string, opt Options) (*Report, error) {
-	return runTask(ctx, g, task, opt, opt.Workers)
-}
-
-// runTask is the registry dispatch shared by every entry point.
-// workers overrides the stepped-engine pool size without being recorded
-// in the Report (the Runner divides a shared budget among concurrent
-// specs; worker count never changes results, so reports stay
-// bit-identical to standalone runs).
-func runTask(ctx context.Context, g *Graph, task string, opt Options, workers int) (*Report, error) {
-	cfg, err := opt.simConfig(workers)
-	if err != nil {
-		return nil, err
+	if err := opt.checkEngine(); err != nil {
+		return nil, fmt.Errorf("awakemis: %w options: %s", ErrInvalidSpec, err)
 	}
-	return runTaskCfg(ctx, g, task, opt, cfg)
+	return runTask(ctx, g, task, opt, sim.NewVectorEngine(1, opt.Workers).Lane(0))
 }
 
-// runTaskOn is runTask against an explicit engine instance — the
-// vectorized path hands each trial a lane handle of one shared
-// sim.VectorEngine here, leaving everything else (IDs, tracer,
-// observer, verification, Report assembly) on the scalar pipeline.
-func runTaskOn(ctx context.Context, g *Graph, task string, opt Options, eng sim.Engine) (*Report, error) {
-	cfg, err := opt.simConfig(opt.Workers)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Engine = eng
-	return runTaskCfg(ctx, g, task, opt, cfg)
-}
-
-func runTaskCfg(ctx context.Context, g *Graph, task string, opt Options, cfg sim.Config) (*Report, error) {
+// runTask is the registry dispatch shared by every entry point: it
+// runs the task on eng — one lane of a sim.VectorEngine pass — and
+// assembles the verified Report. Lanes of one pass each run this
+// whole pipeline (IDs, tracer, observer, verification) for their own
+// options.
+func runTask(ctx context.Context, g *Graph, task string, opt Options, eng sim.Engine) (*Report, error) {
+	cfg := opt.simConfig(eng)
 	t, ok := taskRegistry[task]
 	if !ok {
 		return nil, fmt.Errorf("awakemis: unknown task %q (have %s)",

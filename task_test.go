@@ -110,33 +110,11 @@ func TestRunRejectsNonMISTasks(t *testing.T) {
 	}
 }
 
-func TestDeprecatedWrappersMatchRegistry(t *testing.T) {
+// TestRunMISMatchesRegistry: the typed MIS view is the registry
+// Report, field for field.
+func TestRunMISMatchesRegistry(t *testing.T) {
 	g := awakemis.GNP(60, 0.08, 5)
 	opt := awakemis.Options{Seed: 9, Strict: true}
-
-	cres, err := awakemis.RunColoring(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crep, err := awakemis.RunTask(g, awakemis.TaskColoring, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cres.Color, crep.Output.Color) || !reflect.DeepEqual(cres.Metrics, crep.Metrics) {
-		t.Error("RunColoring diverges from RunTask(coloring)")
-	}
-
-	mres, err := awakemis.RunMatching(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mrep, err := awakemis.RunTask(g, awakemis.TaskMatching, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(mres.MatchedWith, mrep.Output.MatchedWith) || !reflect.DeepEqual(mres.Metrics, mrep.Metrics) {
-		t.Error("RunMatching diverges from RunTask(matching)")
-	}
 
 	rres, err := awakemis.RunMIS(g, awakemis.Luby, opt)
 	if err != nil {

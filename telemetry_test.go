@@ -29,24 +29,23 @@ func telemetrySpec() awakemis.Spec {
 
 // TestRoundSummaryAcrossEnginesAndWorkers pins the determinism of the
 // report's round-summary block: byte-identical report JSON (modulo
-// wall time) across lockstep/stepped × workers 1/4, with internally
-// consistent totals.
+// wall time) across the lockstep reference and the vector engine at
+// workers 1/4, with internally consistent totals.
 func TestRoundSummaryAcrossEnginesAndWorkers(t *testing.T) {
 	var refJSON []byte
 	var refName string
 	for _, tc := range []struct {
 		name    string
-		engine  awakemis.Engine
+		run     func(awakemis.Spec) (*awakemis.Report, error)
 		workers int
 	}{
-		{"lockstep", awakemis.EngineLockstep, 0},
-		{"stepped-1", awakemis.EngineStepped, 1},
-		{"stepped-4", awakemis.EngineStepped, 4},
+		{"lockstep", awakemis.RunLockstep, 0},
+		{"stepped-1", runPlain, 1},
+		{"stepped-4", runPlain, 4},
 	} {
 		spec := telemetrySpec()
-		spec.Options.Engine = tc.engine
 		spec.Options.Workers = tc.workers
-		rep, err := awakemis.Run(context.Background(), spec)
+		rep, err := tc.run(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -146,4 +145,9 @@ func TestObserverLeavesReportUnchanged(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("observer changed the report:\nbare:     %+v\nobserved: %+v", a, b)
 	}
+}
+
+// runPlain is a plain one-lane Run of spec.
+func runPlain(spec awakemis.Spec) (*awakemis.Report, error) {
+	return awakemis.Run(context.Background(), spec)
 }

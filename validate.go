@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"awakemis/internal/graph"
 )
 
 // ErrInvalidSpec is wrapped by every Spec.Validate failure, so callers
@@ -15,7 +17,8 @@ var ErrInvalidSpec = errors.New("invalid spec")
 
 // Validate checks the spec without running it: the task must be
 // registered, the graph spec well-formed, and the options within
-// range. RunSpec and Runner.RunBatch validate every spec before
+// range, and the graph within the size the simulator can hold. Run
+// and Runner.RunBatch validate every spec before
 // spending a simulation on it, so a bad spec fails fast with a
 // descriptive error (wrapping ErrInvalidSpec) instead of surfacing as
 // a deep generator or engine failure.
@@ -85,16 +88,64 @@ func (gs GraphSpec) validate() error {
 			return fmt.Errorf("regular family needs degree < n, got degree=%d >= n=%d", d, n)
 		}
 	}
+	if m, ok := gs.edges(strings.ToLower(family)); ok && m > graph.MaxEdges {
+		return fmt.Errorf("family %q at n=%d has %.0f edges, over the simulator's limit of %d", family, gs.N, m, graph.MaxEdges)
+	}
 	return nil
+}
+
+// edges returns the edge count of the graph Generate builds for a
+// deterministic-size family (for regular, the stub pairing's count
+// before loops and duplicates are repaired), in float64 so huge node
+// counts cannot overflow. ok is false for the random-size families
+// gnp, geometric and powerlaw.
+func (gs GraphSpec) edges(family string) (m float64, ok bool) {
+	n := float64(gs.N)
+	if gs.N == 0 {
+		n = 1024
+	}
+	// side is the side of the square grid or torus Generate rounds n
+	// up to.
+	side := math.Ceil(math.Sqrt(n))
+	if side*side < n {
+		side++
+	}
+	switch family {
+	case "complete":
+		return n * (n - 1) / 2, true
+	case "hypercube":
+		dim := math.Ceil(math.Log2(n))
+		return dim * math.Exp2(dim-1), true
+	case "torus":
+		perAxis := side * side
+		if side < 3 {
+			perAxis = side * (side - 1) // 2 for side 2, 0 for side 1
+		}
+		return 2 * perAxis, true
+	case "grid":
+		return 2 * side * (side - 1), true
+	case "regular":
+		d := float64(gs.Degree)
+		if d == 0 {
+			d = 4
+		}
+		return n * d / 2, true
+	case "cycle":
+		if n >= 3 {
+			return n, true
+		}
+		return n - 1, true
+	case "star", "path", "tree":
+		return n - 1, true
+	}
+	return 0, false
 }
 
 // validate checks the run options: engine name, and non-negative
 // resource knobs (zero always means "the default").
 func (o Options) validate() error {
-	switch o.Engine {
-	case "", EngineStepped, EngineLockstep:
-	default:
-		return fmt.Errorf("unknown engine %q (have stepped|lockstep)", o.Engine)
+	if err := o.checkEngine(); err != nil {
+		return err
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("workers must be non-negative, got %d", o.Workers)
@@ -109,4 +160,17 @@ func (o Options) validate() error {
 		return fmt.Errorf("max_rounds must be non-negative, got %d", o.MaxRounds)
 	}
 	return nil
+}
+
+// checkEngine accepts the one engine name. "lockstep" gets a migration
+// hint: the reference engine changed only speed, never results, so
+// such specs run unchanged without the field.
+func (o Options) checkEngine() error {
+	switch o.Engine {
+	case "", EngineStepped:
+		return nil
+	case "lockstep":
+		return fmt.Errorf(`engine "lockstep" is no longer offered: it never changed results, so drop the field (or set "stepped") and rerun`)
+	}
+	return fmt.Errorf("unknown engine %q (have stepped)", o.Engine)
 }

@@ -1,6 +1,7 @@
 package awakemis_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -39,6 +40,7 @@ func TestSpecValidate(t *testing.T) {
 			s.Graph = awakemis.GraphSpec{Family: "regular", N: 8, Degree: 8}
 		}, "degree < n"},
 		{"unknown engine", func(s *awakemis.Spec) { s.Options.Engine = "quantum" }, `unknown engine "quantum"`},
+		{"lockstep engine", func(s *awakemis.Spec) { s.Options.Engine = "lockstep" }, "drop the field"},
 		{"negative workers", func(s *awakemis.Spec) { s.Options.Workers = -2 }, "workers must be non-negative"},
 		{"negative N bound", func(s *awakemis.Spec) { s.Options.N = -1 }, "network-size bound"},
 		{"negative bandwidth", func(s *awakemis.Spec) { s.Options.Bandwidth = -8 }, "bandwidth"},
@@ -61,19 +63,76 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// RunSpec must reject malformed specs up front with ErrInvalidSpec
-// (the service daemon's 400-vs-500 discrimination), not via a deep
+// Run must reject malformed specs up front with ErrInvalidSpec (the
+// service daemon's 400-vs-500 discrimination), not via a deep
 // generator or engine failure.
 func TestRunSpecValidates(t *testing.T) {
-	_, err := awakemis.RunSpec(awakemis.Spec{Task: "no-such-task"})
+	ctx := context.Background()
+	_, err := awakemis.Run(ctx, awakemis.Spec{Task: "no-such-task"})
 	if !errors.Is(err, awakemis.ErrInvalidSpec) {
-		t.Errorf("RunSpec(unknown task) = %v, want ErrInvalidSpec", err)
+		t.Errorf("Run(unknown task) = %v, want ErrInvalidSpec", err)
 	}
-	_, err = awakemis.RunSpec(awakemis.Spec{
+	_, err = awakemis.Run(ctx, awakemis.Spec{
 		Task:  "luby",
 		Graph: awakemis.GraphSpec{Family: "gnp", N: -3},
 	})
 	if !errors.Is(err, awakemis.ErrInvalidSpec) {
-		t.Errorf("RunSpec(negative n) = %v, want ErrInvalidSpec", err)
+		t.Errorf("Run(negative n) = %v, want ErrInvalidSpec", err)
+	}
+	// RunTask has no spec, but the engine name is checked all the same.
+	_, err = awakemis.RunTask(awakemis.Cycle(8), "luby", awakemis.Options{Engine: "lockstep"})
+	if !errors.Is(err, awakemis.ErrInvalidSpec) {
+		t.Errorf("RunTask(lockstep) = %v, want ErrInvalidSpec", err)
+	}
+}
+
+// TestValidateBoundsGraphSize: a spec whose graph would overflow the
+// simulator's edge limit is rejected up front as ErrInvalidSpec rather
+// than crashing the process that builds it.
+func TestValidateBoundsGraphSize(t *testing.T) {
+	for _, gs := range []awakemis.GraphSpec{
+		{Family: "complete", N: 47_000},
+		{Family: "hypercube", N: 1 << 31},
+		{Family: "path", N: 1 << 31},
+		{Family: "regular", N: 1 << 28, Degree: 9},
+	} {
+		err := awakemis.Spec{Task: "luby", Graph: gs}.Validate()
+		if !errors.Is(err, awakemis.ErrInvalidSpec) || !strings.Contains(err.Error(), "edges") {
+			t.Errorf("%+v: Validate = %v, want an edge-limit ErrInvalidSpec", gs, err)
+		}
+	}
+	if err := (awakemis.Spec{Task: "luby", Graph: awakemis.GraphSpec{Family: "complete", N: 46_000}}).Validate(); err != nil {
+		t.Errorf("complete n=46000 fits the limit but was rejected: %v", err)
+	}
+}
+
+// TestEdgeBoundIsExact checks the bound against the graphs Generate
+// builds, for every deterministic-size family and sizes that exercise
+// Generate's rounding (grid and torus sides, hypercube dimensions).
+func TestEdgeBoundIsExact(t *testing.T) {
+	for _, family := range []string{"complete", "hypercube", "torus", "grid", "star", "path", "cycle", "tree", "regular"} {
+		for _, n := range []int{1, 2, 3, 4, 5, 9, 10, 17, 64, 100} {
+			gs := awakemis.GraphSpec{Family: family, N: n, Degree: 2}
+			if family == "regular" && n <= 2 {
+				continue
+			}
+			g, err := awakemis.Generate(family, awakemis.GenOptions{N: n, Degree: 2, Seed: 1})
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", family, n, err)
+			}
+			m, ok := gs.EdgeBound()
+			if !ok {
+				t.Fatalf("%s: no edge bound", family)
+			}
+			if family == "regular" {
+				if float64(g.M()) > m {
+					t.Errorf("regular n=%d: %d edges over the bound %.0f", n, g.M(), m)
+				}
+				continue
+			}
+			if float64(g.M()) != m {
+				t.Errorf("%s n=%d: bound %.0f, generated %d edges", family, n, m, g.M())
+			}
+		}
 	}
 }
