@@ -132,18 +132,6 @@ type Options struct {
 	Observer RoundObserver `json:"-"`
 }
 
-// simConfig resolves the options into an engine configuration on eng.
-func (o Options) simConfig(eng sim.Engine) sim.Config {
-	return sim.Config{
-		Seed:      o.Seed,
-		N:         o.N,
-		Bandwidth: o.Bandwidth,
-		Strict:    o.Strict,
-		MaxRounds: o.MaxRounds,
-		Engine:    eng,
-	}
-}
-
 // Metrics reports the complexity measures of a run (§1.3–1.4).
 type Metrics struct {
 	// Rounds is the round complexity (sleeping rounds included).

@@ -847,8 +847,8 @@ func (s *Server) execute(ctx context.Context, flights []*flight, trials []awakem
 		// Front mode: a peer runs the simulation; data is the peer's
 		// exact report bytes, preserving byte identity cluster-wide. The
 		// peer's progress views relay into the flight's tracker.
-		f := flights[0]
-		data, peer, err := s.fwd.Forward(ctx, f.spec, f.tracker.setRemote)
+		var data []byte
+		data, peer, err = s.fwd.Forward(ctx, flights[0].spec, flights[0].tracker.setRemote)
 		return [][]byte{data}, peer, err
 	}
 	// The observers ride the trials, never the canonical specs, so they

@@ -14,8 +14,9 @@ import (
 
 // Task is one registered problem: a name, an ID-assignment scheme, a
 // run function, and an output verifier. Every public entry point —
-// RunTask, Run, RunMIS, Runner.RunBatch, and the CLIs — dispatches through the task registry, so adding a
-// problem means registering a Task, not editing the facade.
+// RunTask, Run, RunMIS, Runner.RunBatch, and the CLIs — dispatches
+// through the task registry, so adding a problem means registering a
+// Task, not editing the facade.
 type Task struct {
 	// Name identifies the task ("awake-mis", "coloring", ...).
 	Name string
@@ -107,12 +108,19 @@ func RunTaskContext(ctx context.Context, g *Graph, task string, opt Options) (*R
 }
 
 // runTask is the registry dispatch shared by every entry point: it
-// runs the task on eng — one lane of a sim.VectorEngine pass — and
-// assembles the verified Report. Lanes of one pass each run this
-// whole pipeline (IDs, tracer, observer, verification) for their own
-// options.
+// runs the task on eng — in production one lane of a sim.VectorEngine
+// pass — and assembles the verified Report. Lanes of one pass each run
+// this whole pipeline (IDs, tracer, observer, verification) for their
+// own options.
 func runTask(ctx context.Context, g *Graph, task string, opt Options, eng sim.Engine) (*Report, error) {
-	cfg := opt.simConfig(eng)
+	cfg := sim.Config{
+		Seed:      opt.Seed,
+		N:         opt.N,
+		Bandwidth: opt.Bandwidth,
+		Strict:    opt.Strict,
+		MaxRounds: opt.MaxRounds,
+		Engine:    eng,
+	}
 	t, ok := taskRegistry[task]
 	if !ok {
 		return nil, fmt.Errorf("awakemis: unknown task %q (have %s)",
