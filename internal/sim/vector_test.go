@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -213,54 +214,63 @@ func TestVectorRejectsGoroutinePrograms(t *testing.T) {
 // — lane detection, per-lane metering, one-pass routing through the
 // shared reverse-port cursors, inbox sorting, the step fan-out, and
 // rescheduling — performs zero heap allocations with nil observers. It
-// covers a 4-lane merged pass and the one-lane pass every plain run
-// takes, each at 512 packed entries (≥ minParallel, so workers=4
-// exercises the pool). A regression here (a closure creeping into the
-// hot path, sort.Slice, per-round goroutines, inbox reallocation)
-// fails the test rather than silently costing 10x at n=10⁷.
+// covers a 4-lane merged pass at 512 packed entries (≥ minParallel, so
+// workers=4 exercises the pool). A regression here (a closure creeping
+// into the hot path, sort.Slice, per-round goroutines, inbox
+// reallocation) fails the test rather than silently costing 10x at
+// n=10⁷.
 func TestVectorRoundZeroAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name           string
-		lanes, workers int
-	}{
-		{"workers=1", 4, 1},
-		{"workers=4", 4, 4},
-		{"lanes=1/workers=1", 1, 1},
-		{"lanes=1/workers=4", 1, 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			g := graph.Cycle(512 / tc.lanes)
-			progs := make([]StepProgram, tc.lanes)
-			cfgs := make([]Config, tc.lanes)
-			for i := range progs {
-				progs[i] = allocProbe
-				cfg, err := Config{Seed: int64(i + 1)}.withDefaults(g.N())
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfgs[i] = cfg
-			}
-			vs, err := newVecState(g, progs, cfgs, tc.workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer vs.close()
-
-			// Warm up: grow the inbox buffers for both round parities, the
-			// wake queue's bucket pool, and the outbox slices.
-			for i := 0; i < 8; i++ {
-				if err := vs.round(tc.workers); err != nil {
-					t.Fatal(err)
-				}
-			}
-			avg := testing.AllocsPerRun(100, func() {
-				if err := vs.round(tc.workers); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if avg != 0 {
-				t.Errorf("steady-state round allocates %.1f objects/round, want 0", avg)
-			}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			checkRoundZeroAllocs(t, 4, workers)
 		})
+	}
+}
+
+// TestSteppedRoundZeroAllocs holds the same invariant for the one-lane
+// pass every plain (stepped) run takes, again at 512 entries.
+func TestSteppedRoundZeroAllocs(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			checkRoundZeroAllocs(t, 1, workers)
+		})
+	}
+}
+
+// checkRoundZeroAllocs warms a lanes-lane pass over 512 packed entries
+// and fails if a steady-state round allocates.
+func checkRoundZeroAllocs(t *testing.T, lanes, workers int) {
+	t.Helper()
+	g := graph.Cycle(512 / lanes)
+	progs := make([]StepProgram, lanes)
+	cfgs := make([]Config, lanes)
+	for i := range progs {
+		progs[i] = allocProbe
+		cfg, err := Config{Seed: int64(i + 1)}.withDefaults(g.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs[i] = cfg
+	}
+	vs, err := newVecState(g, progs, cfgs, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vs.close()
+
+	// Warm up: grow the inbox buffers for both round parities, the wake
+	// queue's bucket pool, and the outbox slices.
+	for i := 0; i < 8; i++ {
+		if err := vs.round(workers); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		if err := vs.round(workers); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("steady-state round allocates %.1f objects/round, want 0", avg)
 	}
 }
