@@ -5,22 +5,21 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"awakemis"
+	"awakemis/internal/simtest"
 )
-
-var updateDigests = flag.Bool("update-digests", false, "rewrite testdata/run_digests.json from the current code")
 
 // runDigestsFile freezes the Report bytes of a small grid of runs as
 // SHA-256 digests: the determinism contract held as data, so the bytes
 // a spec yields cannot drift while engine code is reworked. Regenerate
 // (go test -run TestRunDigests -update-digests .) only for a
-// deliberate, documented change to what a run produces.
+// deliberate, documented change to what a run produces. The file also
+// holds the cross-engine grid's digests (see equivGrid).
 const runDigestsFile = "testdata/run_digests.json"
 
 // digestReport hashes a report's JSON bytes with the one
@@ -45,7 +44,7 @@ var digestGraphs = []awakemis.GraphSpec{
 
 // runDigests computes every digest of the grid: each registered task ×
 // family × seed as a plain run, plus one 3-trial vectorized batch per
-// task on a fixed graph.
+// task on a fixed graph, plus every run of the cross-engine grid.
 func runDigests(t *testing.T) map[string]string {
 	t.Helper()
 	ctx := context.Background()
@@ -72,7 +71,31 @@ func runDigests(t *testing.T) map[string]string {
 			got[fmt.Sprintf("%s/vector/gnp/n=80/trial=%d", task, i)] = digestReport(t, rep)
 		}
 	}
+	for _, c := range equivGrid() {
+		for _, seed := range c.seeds {
+			rep, err := awakemis.Run(ctx, c.spec(seed))
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", c.name, seed, err)
+			}
+			got[c.key(seed)] = digestReport(t, rep)
+		}
+	}
 	return got
+}
+
+// frozenDigests reads runDigestsFile.
+func frozenDigests(t *testing.T) map[string]string {
+	t.Helper()
+	path := filepath.FromSlash(runDigestsFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading %s: %v", path, err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("decoding %s: %v", path, err)
+	}
+	return want
 }
 
 // TestRunDigests checks every run of the digest grid against the
@@ -80,7 +103,7 @@ func runDigests(t *testing.T) map[string]string {
 func TestRunDigests(t *testing.T) {
 	got := runDigests(t)
 	path := filepath.FromSlash(runDigestsFile)
-	if *updateDigests {
+	if simtest.UpdateDigests() {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -90,14 +113,7 @@ func TestRunDigests(t *testing.T) {
 		}
 		return
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading %s: %v", path, err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("decoding %s: %v", path, err)
-	}
+	want := frozenDigests(t)
 	if len(got) != len(want) {
 		t.Errorf("digest grid has %d runs, %s has %d", len(got), path, len(want))
 	}

@@ -29,22 +29,78 @@ import (
 	"awakemis/internal/vtmis"
 )
 
-// checkAcrossEngines runs task on gs at each seed on the lockstep
+// equivCell is one task on one graph of the cross-engine grid.
+type equivCell struct {
+	name  string // graph axis label
+	task  string
+	gs    awakemis.GraphSpec
+	seeds []int64
+}
+
+// spec is the cell's spec at one seed.
+func (c equivCell) spec(seed int64) awakemis.Spec {
+	return awakemis.Spec{Task: c.task, Graph: c.gs, Options: awakemis.Options{Strict: true, Seed: seed}}
+}
+
+// key names the cell's run at seed in runDigestsFile.
+func (c equivCell) key(seed int64) string {
+	return fmt.Sprintf("equiv/%s/%s/seed=%d", c.name, c.task, seed)
+}
+
+// equivGraphs is the graph axis of the cross-engine grid. Explicit
+// graph seeds let the seeds share one graph in a merged pass.
+var equivGraphs = map[string]awakemis.GraphSpec{
+	"gnp":   {Family: "gnp", N: 90, P: 0.05, Seed: 5},
+	"cycle": {Family: "cycle", N: 41, Seed: 1},
+	"grid":  {Family: "grid", N: 56, Seed: 1},
+}
+
+// algorithmCells is every MIS algorithm on equivGraphs at seeds 1/17/33.
+func algorithmCells() []equivCell {
+	var cells []equivCell
+	for gname, gs := range equivGraphs {
+		for _, algo := range awakemis.Algorithms() {
+			cells = append(cells, equivCell{gname, string(algo), gs, []int64{1, 17, 33}})
+		}
+	}
+	return cells
+}
+
+// coloringMatchingCells is coloring and matching on one G(n, p) at
+// seeds 5/6/7.
+func coloringMatchingCells() []equivCell {
+	gs := awakemis.GraphSpec{Family: "gnp", N: 80, P: 0.06, Seed: 3}
+	return []equivCell{
+		{"gnp-80", awakemis.TaskColoring, gs, []int64{5, 6, 7}},
+		{"gnp-80", awakemis.TaskMatching, gs, []int64{5, 6, 7}},
+	}
+}
+
+// equivGrid is the whole cross-engine grid.
+func equivGrid() []equivCell { return append(algorithmCells(), coloringMatchingCells()...) }
+
+// checkAcrossEngines runs the cell at each seed on the lockstep
 // reference, then on the vector engine at every worker count — each
 // seed as a one-lane pass, and all seeds as the lanes of one merged
-// pass — demanding identical outputs and metrics.
-func checkAcrossEngines(t *testing.T, task string, gs awakemis.GraphSpec, seeds []int64) {
+// pass — demanding identical outputs and metrics. Each lockstep
+// report must also match its digest frozen in runDigestsFile.
+func checkAcrossEngines(t *testing.T, c equivCell) {
 	t.Helper()
 	ctx := context.Background()
-	spec := awakemis.Spec{Task: task, Graph: gs, Options: awakemis.Options{Strict: true}}
+	seeds := c.seeds
+	spec := c.spec(0)
+	frozen := frozenDigests(t)
 	want := make([]*awakemis.Report, len(seeds))
 	trials := make([]awakemis.Trial, len(seeds))
 	for i, seed := range seeds {
-		sp := spec
-		sp.Options.Seed = seed
-		rep, err := awakemis.RunLockstep(sp)
+		rep, err := awakemis.RunLockstep(c.spec(seed))
 		if err != nil {
 			t.Fatalf("lockstep seed %d: %v", seed, err)
+		}
+		frozenRep := *rep
+		frozenRep.Engine = "stepped"
+		if d := digestReport(t, &frozenRep); !simtest.UpdateDigests() && d != frozen[c.key(seed)] {
+			t.Fatalf("%s: lockstep report digest %s, frozen %q", c.key(seed), d, frozen[c.key(seed)])
 		}
 		want[i], trials[i] = rep, awakemis.Trial{Seed: seed}
 	}
@@ -77,28 +133,15 @@ func checkAcrossEngines(t *testing.T, task string, gs awakemis.GraphSpec, seeds 
 	}
 }
 
-// equivGraphs is the graph axis of the cross-engine grid. Explicit
-// graph seeds let the seeds share one graph in a merged pass.
-var equivGraphs = map[string]awakemis.GraphSpec{
-	"gnp":   {Family: "gnp", N: 90, P: 0.05, Seed: 5},
-	"cycle": {Family: "cycle", N: 41, Seed: 1},
-	"grid":  {Family: "grid", N: 56, Seed: 1},
-}
-
 func TestAllAlgorithmsIdenticalAcrossEngines(t *testing.T) {
-	for gname, gs := range equivGraphs {
-		for _, algo := range awakemis.Algorithms() {
-			t.Run(gname+"/"+string(algo), func(t *testing.T) {
-				checkAcrossEngines(t, string(algo), gs, []int64{1, 17, 33})
-			})
-		}
+	for _, c := range algorithmCells() {
+		t.Run(c.name+"/"+c.task, func(t *testing.T) { checkAcrossEngines(t, c) })
 	}
 }
 
 func TestColoringMatchingIdenticalAcrossEngines(t *testing.T) {
-	gs := awakemis.GraphSpec{Family: "gnp", N: 80, P: 0.06, Seed: 3}
-	for _, task := range []string{awakemis.TaskColoring, awakemis.TaskMatching} {
-		checkAcrossEngines(t, task, gs, []int64{5, 6, 7})
+	for _, c := range coloringMatchingCells() {
+		checkAcrossEngines(t, c)
 	}
 }
 
@@ -183,7 +226,7 @@ func TestStepPortsMatchGoroutineOriginals(t *testing.T) {
 			if !ok {
 				cfg = baseCfg
 			}
-			simtest.CheckForms(t, g, mk, cfg)
+			simtest.CheckForms(t, algo, g, mk, cfg)
 		})
 	}
 }

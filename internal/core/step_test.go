@@ -24,7 +24,7 @@ func TestStepFormMatchesGoroutineForm(t *testing.T) {
 			params := core.Params{Variant: variant}.WithDefaults(n)
 			cfg := sim.Config{Seed: 11, Strict: true, Bandwidth: sim.DefaultBandwidth(n)}
 			sched := core.NewSchedule(n, params, cfg.Bandwidth)
-			simtest.CheckForms(t, g, func() (sim.Program, sim.StepProgram, func() any) {
+			simtest.CheckForms(t, "awake-mis/"+variant.String(), g, func() (sim.Program, sim.StepProgram, func() any) {
 				res := &core.Result{InMIS: make([]bool, n), Batch: make([]int, n)}
 				return core.Program(res, sched, params, n), core.StepProgram(res, sched, params, n),
 					func() any { return res }

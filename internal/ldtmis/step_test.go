@@ -35,7 +35,7 @@ func TestStepFormMatchesGoroutineForm(t *testing.T) {
 			t.Run(gname+"/"+variant.String(), func(t *testing.T) {
 				cfg := sim.Config{Seed: 77, N: 1 << 16, Strict: true}
 				cfg.Bandwidth = sim.DefaultBandwidth(1 << 40)
-				simtest.CheckForms(t, g, func() (sim.Program, sim.StepProgram, func() any) {
+				simtest.CheckForms(t, gname+"/"+variant.String(), g, func() (sim.Program, sim.StepProgram, func() any) {
 					res := &ldtmis.Result{InMIS: make([]bool, g.N()), NewID: make([]int, g.N())}
 					return ldtmis.Program(res, ids, np, variant), ldtmis.StepProgram(res, ids, np, variant),
 						func() any { return res }

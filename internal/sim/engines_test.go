@@ -5,6 +5,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -60,7 +61,7 @@ func flood(rounds int64) sim.StepProgram {
 // engine (as goroutine form) and on the vector engine grid.
 func TestStepProgramAcrossEngines(t *testing.T) {
 	g := graph.Grid(8, 8)
-	m := simtest.CheckForms(t, g, twin(nil, flood(5)), sim.Config{Seed: 3})
+	m := simtest.CheckForms(t, "flood/grid", g, twin(nil, flood(5)), sim.Config{Seed: 3})
 	if m.Rounds != 5 || m.MaxAwake != 5 {
 		t.Errorf("rounds/maxawake = %d/%d, want 5/5", m.Rounds, m.MaxAwake)
 	}
@@ -82,7 +83,7 @@ func TestStepMatchesGoroutineForm(t *testing.T) {
 			}
 		}
 	})
-	simtest.CheckForms(t, graph.Cycle(12), twin(gp, flood(5)), sim.Config{Seed: 9})
+	simtest.CheckForms(t, "flood/cycle", graph.Cycle(12), twin(gp, flood(5)), sim.Config{Seed: 9})
 }
 
 // TestGoroutineProgramsAcrossEngines pairs the goroutine form's tricky
@@ -210,7 +211,7 @@ func TestGoroutineProgramsAcrossEngines(t *testing.T) {
 	for pname, c := range cases {
 		for gname, g := range graphs {
 			t.Run(pname+"/"+gname, func(t *testing.T) {
-				simtest.CheckForms(t, g, c, sim.Config{Seed: 11})
+				simtest.CheckForms(t, pname+"/"+gname, g, c, sim.Config{Seed: 11})
 			})
 		}
 	}
@@ -278,6 +279,6 @@ func TestFuzzEquivalence(t *testing.T) {
 				return sums
 			}
 		}
-		simtest.CheckForms(t, g, mk, sim.Config{Seed: seed})
+		simtest.CheckForms(t, fmt.Sprintf("fuzz/graph=%d", seed), g, mk, sim.Config{Seed: seed})
 	}
 }

@@ -2,6 +2,9 @@ package sim
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -122,13 +125,30 @@ func TestVectorMatchesScalar(t *testing.T) {
 	}
 }
 
+// singleLaneDigest is the SHA-256 of the Metrics JSON of vecProbe on a
+// 32-cycle at seed 11, frozen from the lockstep reference engine.
+const singleLaneDigest = "a6a76d89bc70bef57452792809a64d0f796e07645e5c59cc3c5f92fa00388d75"
+
+func metricsDigest(t *testing.T, m *Metrics) string {
+	t.Helper()
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
 // TestVectorSingleLane pins the one-lane pass — every plain run — to
-// the lockstep reference.
+// the lockstep reference and to its frozen digest.
 func TestVectorSingleLane(t *testing.T) {
 	g := graph.Cycle(32)
 	want, err := NewLockstepEngine().Run(context.Background(), g, vecProbe, Config{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d := metricsDigest(t, want); d != singleLaneDigest {
+		t.Fatalf("lockstep metrics digest %s, frozen %s", d, singleLaneDigest)
 	}
 	ms, errs := runVectorLanes(t, g, []StepProgram{vecProbe}, []Config{{Seed: 11}}, 1)
 	if errs[0] != nil {

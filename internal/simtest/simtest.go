@@ -1,11 +1,20 @@
 // Package simtest holds the cross-form check the simulator's test
 // suites share: a goroutine-form Program on the lockstep reference
 // engine against its step-form port on the vector engine, across the
-// vector engine's worker and lane counts.
+// vector engine's worker and lane counts. Every lockstep run is also
+// held to a digest frozen in the package's testdata, so the oracle's
+// verdict survives as data.
 package simtest
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -14,6 +23,13 @@ import (
 	"awakemis/internal/graph"
 	"awakemis/internal/sim"
 )
+
+var updateDigests = flag.Bool("update-digests", false, "rewrite the checked-in digest files from the current code")
+
+// UpdateDigests reports whether the test binary runs with
+// -update-digests: digest checks then record what the code produces
+// instead of comparing against the checked-in files.
+func UpdateDigests() bool { return *updateDigests }
 
 // Case builds one run's programs and a reader for the output they
 // record. Every call must return fresh state. A nil gp runs sp on the
@@ -28,16 +44,30 @@ var (
 	Lanes   = []int{1, 3}
 )
 
+// DigestFile holds the frozen digests of every CheckForms case run in
+// a package, keyed by case name and seed.
+const DigestFile = "testdata/form_digests.json"
+
+// Digest fingerprints one run: the SHA-256 of its Metrics JSON
+// (AwakePerNode included) and of its output JSON.
+type Digest struct {
+	Metrics string `json:"metrics"`
+	Output  string `json:"output"`
+}
+
 // CheckForms runs mk's goroutine form on the lockstep engine at seeds
 // cfg.Seed+i for every lane i, then its step form on the vector engine
 // at every worker count and lane count, lane i re-seeded to cfg.Seed+i.
 // Each lane's Metrics and output must equal the lockstep run at its
-// seed. It returns the lockstep Metrics at cfg.Seed.
-func CheckForms(t testing.TB, g *graph.Graph, mk Case, cfg sim.Config) *sim.Metrics {
+// seed, and each lockstep run must match the digest frozen under
+// name in DigestFile (with -update-digests, it is recorded instead).
+// It returns the lockstep Metrics at cfg.Seed.
+func CheckForms(t testing.TB, name string, g *graph.Graph, mk Case, cfg sim.Config) *sim.Metrics {
 	t.Helper()
 	maxLanes := Lanes[len(Lanes)-1]
 	wantM := make([]*sim.Metrics, maxLanes)
 	wantOut := make([]any, maxLanes)
+	got := map[string]Digest{}
 	for i := range wantM {
 		gp, sp, out := mk()
 		var prog sim.NodeProgram = gp
@@ -51,7 +81,9 @@ func CheckForms(t testing.TB, g *graph.Graph, mk Case, cfg sim.Config) *sim.Metr
 			t.Fatalf("lockstep seed %d: %v", c.Seed, err)
 		}
 		wantM[i], wantOut[i] = m, read(out)
+		got[key(name, c.Seed)] = digestOf(t, m, wantOut[i])
 	}
+	checkDigests(t, got)
 	for _, workers := range Workers {
 		for _, lanes := range Lanes {
 			ve := sim.NewVectorEngine(lanes, workers)
@@ -86,6 +118,71 @@ func CheckForms(t testing.TB, g *graph.Graph, mk Case, cfg sim.Config) *sim.Metr
 		}
 	}
 	return wantM[0]
+}
+
+func key(name string, seed int64) string { return fmt.Sprintf("%s/seed=%d", name, seed) }
+
+func digestOf(t testing.TB, m *sim.Metrics, out any) Digest {
+	t.Helper()
+	return Digest{Metrics: sha(t, m), Output: sha(t, out)}
+}
+
+func sha(t testing.TB, v any) string {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
+// fileMu serializes DigestFile reads and rewrites within one test
+// binary.
+var fileMu sync.Mutex
+
+// checkDigests compares got against DigestFile, or merges it into the
+// file under -update-digests (entries other cases froze are kept).
+func checkDigests(t testing.TB, got map[string]Digest) {
+	t.Helper()
+	fileMu.Lock()
+	defer fileMu.Unlock()
+	path := filepath.FromSlash(DigestFile)
+	frozen := map[string]Digest{}
+	data, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(data, &frozen); err != nil {
+			t.Fatalf("decoding %s: %v", path, err)
+		}
+	case !*updateDigests || !os.IsNotExist(err):
+		t.Fatalf("reading %s: %v", path, err)
+	}
+	if *updateDigests {
+		for k, d := range got {
+			frozen[k] = d
+		}
+		data, err := json.MarshalIndent(frozen, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	for k, d := range got {
+		w, ok := frozen[k]
+		if !ok {
+			t.Fatalf("%s: no frozen digest in %s", k, path)
+		}
+		if d != w {
+			t.Fatalf("%s: digest %+v, frozen %+v", k, d, w)
+		}
+	}
 }
 
 func read(out func() any) any {
