@@ -151,17 +151,11 @@ func BenchmarkLDTConstruct(b *testing.B) {
 			g := graph.Cycle(np)
 			var last *sim.Metrics
 			b.ResetTimer()
+			prog := sim.StepProgram(func(env *sim.NodeEnv) sim.StepNode {
+				return &ldtBuilder{env: env, np: np, det: det}
+			})
 			for i := 0; i < b.N; i++ {
-				prog := func(ctx *sim.Ctx) {
-					p := ldt.NewProc(ctx, 1, int64(1000+ctx.Node()), np)
-					p.Hello()
-					if det {
-						p.ConstructRound(ldt.DefaultRoundPhases(np))
-					} else {
-						p.ConstructAwake(ldt.DefaultAwakePhases(np))
-					}
-				}
-				m, err := sim.Run(g, prog, sim.Config{Seed: int64(i), N: 1 << 12})
+				m, err := sim.RunStep(g, prog, sim.Config{Seed: int64(i), N: 1 << 12})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -171,6 +165,30 @@ func BenchmarkLDTConstruct(b *testing.B) {
 			b.ReportMetric(float64(last.Rounds), "rounds")
 		})
 	}
+}
+
+// ldtBuilder runs Hello and one LDT construction on a Machine,
+// starting at round 1.
+type ldtBuilder struct {
+	sim.Machine
+	env *sim.NodeEnv
+	np  int
+	det bool
+}
+
+func (n *ldtBuilder) Start(out *sim.Outbox) {
+	n.Begin(out, func() {
+		n.Yield(0, nil, func([]sim.Inbound) {
+			p := ldt.NewSProc(&n.Machine, n.env.Rand, 1, int64(1000+n.env.ID), n.np)
+			p.Hello(func() {
+				if n.det {
+					p.ConstructRound(ldt.DefaultRoundPhases(n.np), func() {})
+				} else {
+					p.ConstructAwake(ldt.DefaultAwakePhases(n.np), func() {})
+				}
+			})
+		})
+	})
 }
 
 // BenchmarkColoring regenerates E11 (§7 extension): (Δ+1)-coloring in
@@ -295,61 +313,58 @@ func BenchmarkCommSet(b *testing.B) {
 	}
 }
 
-// BenchmarkEngines compares the lockstep reference engine with the
-// production vector engine (a one-lane pass, reported as "stepped")
-// across every registered task. Results are bit-identical across
-// engines (the cross-engine tests assert it); only wall-clock differs
-// — the vector engine keeps node state inline instead of paying
-// per-node goroutines and per-round channel handshakes. The task-grid
-// measurements are recorded in BENCH_tasks.json (the PR 1 Luby size
-// sweep stays in BENCH_engine.json):
+// BenchmarkEngines runs every registered task on the production
+// vector engine (a one-lane pass, reported as "stepped") at small n.
+// The sub-benchmark names keep their engine suffix so recorded runs
+// stay comparable; the lockstep columns of BENCH_tasks.json (and the
+// PR 1 Luby size sweep in BENCH_engine.json) are historical, from the
+// retired reference engine:
 //
 //	go test -run xxx -bench BenchmarkEngines -benchtime 2x
 func BenchmarkEngines(b *testing.B) {
 	const n = 1024
-	engines := map[string]func(awakemis.Spec) (*awakemis.Report, error){
-		"lockstep": awakemis.RunLockstep,
-		"stepped":  runPlain,
-	}
 	for _, task := range awakemis.TaskNames() {
-		for _, eng := range []string{"stepped", "lockstep"} {
-			b.Run(task+"/"+eng, func(b *testing.B) {
-				var last awakemis.Metrics
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rep, err := engines[eng](awakemis.Spec{
-						Task:    task,
-						Graph:   awakemis.GraphSpec{Family: "gnp", N: n, Seed: n},
-						Options: awakemis.Options{Seed: int64(i)},
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = rep.Metrics
+		b.Run(task+"/stepped", func(b *testing.B) {
+			var last awakemis.Metrics
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, err := runPlain(awakemis.Spec{
+					Task:    task,
+					Graph:   awakemis.GraphSpec{Family: "gnp", N: n, Seed: n},
+					Options: awakemis.Options{Seed: int64(i)},
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(last.MaxAwake), "awake-max")
-				b.ReportMetric(float64(last.Rounds), "rounds")
-			})
-		}
+				last = rep.Metrics
+			}
+			b.ReportMetric(float64(last.MaxAwake), "awake-max")
+			b.ReportMetric(float64(last.Rounds), "rounds")
+		})
 	}
 }
 
+// floodNode broadcasts in rounds 0..9, then halts.
+type floodNode struct{}
+
+func (floodNode) Start(out *sim.Outbox) { out.Broadcast(floodMsg{}) }
+
+func (floodNode) OnWake(round int64, _ []sim.Inbound, out *sim.Outbox) (int64, bool) {
+	if round == 9 {
+		return 0, true
+	}
+	out.Broadcast(floodMsg{})
+	return round + 1, false
+}
+
 // BenchmarkSimulatorFlood measures raw engine throughput (messages
-// through the lock-step barriers).
+// through routing and inbox delivery).
 func BenchmarkSimulatorFlood(b *testing.B) {
 	g := graph.Grid(16, 16)
-	prog := func(ctx *sim.Ctx) {
-		for i := 0; i < 10; i++ {
-			ctx.Broadcast(floodMsg{})
-			ctx.Deliver()
-			if i < 9 {
-				ctx.Advance()
-			}
-		}
-	}
+	prog := sim.StepProgram(func(*sim.NodeEnv) sim.StepNode { return floodNode{} })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(g, prog, sim.Config{Seed: int64(i)}); err != nil {
+		if _, err := sim.RunStep(g, prog, sim.Config{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,9 +24,7 @@ import (
 
 	"awakemis/internal/graph"
 	"awakemis/internal/ldtmis"
-	"awakemis/internal/misproto"
 	"awakemis/internal/sim"
-	"awakemis/internal/vtree"
 )
 
 // Params configures Awake-MIS. The proof constants of §6 (batch
@@ -158,47 +156,6 @@ type Result struct {
 	InMIS []bool
 	// Batch[v] is the phase index node v drew (diagnostics).
 	Batch []int
-}
-
-// Program returns the per-node Awake-MIS program in goroutine form:
-// the cross-form oracle (Run executes the step form natively).
-func Program(res *Result, sched *Schedule, params Params, n int) sim.Program {
-	params = params.WithDefaults(n)
-	return func(ctx *sim.Ctx) {
-		rng := ctx.Rand()
-		id := rng.Int63n(params.IDSpace) + 1
-		level, j := sched.SampleBatch(rng.Float64(), rng.Float64())
-		myPhase := sched.Phase(level, j)
-		res.Batch[ctx.Node()] = myPhase
-
-		state := misproto.Undecided
-		commRounds := vtree.AwakeRounds(myPhase, sched.TotalPhases)
-		for _, r := range commRounds {
-			if state == misproto.NotInMIS {
-				break // nothing more to learn or announce
-			}
-			target := sched.PhaseStart(r)
-			if target > ctx.Round() {
-				ctx.SleepUntil(target)
-			}
-			// (target == Round() only at the model's initial all-awake
-			// round 0, which is this node's first communication round.)
-			ctx.Broadcast(misproto.StateMsg{State: state})
-			in := ctx.Deliver()
-			if state == misproto.Undecided {
-				for _, m := range in {
-					if sm, ok := m.Msg.(misproto.StateMsg); ok && sm.State == misproto.InMIS {
-						state = misproto.NotInMIS
-						break
-					}
-				}
-			}
-			if r == myPhase && state == misproto.Undecided {
-				ldtmis.RunSub(ctx, sched.PhaseStart(r)+1, id, sched.NP, sched.Variant, &state)
-			}
-		}
-		res.InMIS[ctx.Node()] = state == misproto.InMIS
-	}
 }
 
 // Run executes Awake-MIS on g.

@@ -1,12 +1,13 @@
 package core
 
-// Step form of Awake-MIS: the phase loop of Program as an explicit
-// state machine. Each node attends its O(log log n) communication
-// rounds (staged one wake at a time through a sim.Machine) and, in its
-// own phase, runs the step-form LDT-MIS window in place — so the
-// paper's headline algorithm executes on the vector engine's inline
-// hot path with no per-node goroutine. Bit-identical with the
-// goroutine form; the cross-form tests assert it.
+// Step form of Awake-MIS: the phase loop as an explicit state machine.
+// Each node draws its ID and batch, attends its O(log log n)
+// communication rounds (staged one wake at a time through a
+// sim.Machine) and, in its own phase, runs the step-form LDT-MIS window
+// in place — so the paper's headline algorithm executes on the vector
+// engine's inline hot path with no per-node goroutine. Its outputs and
+// metrics are held to digests frozen from the goroutine-form original
+// it was ported from.
 
 import (
 	"awakemis/internal/ldtmis"
@@ -28,7 +29,7 @@ type stepNode struct {
 	myPhase int
 }
 
-// StepProgram returns the per-node Awake-MIS program in step form.
+// StepProgram returns the per-node Awake-MIS program.
 func StepProgram(res *Result, sched *Schedule, params Params, n int) sim.StepProgram {
 	params = params.WithDefaults(n)
 	return func(env *sim.NodeEnv) sim.StepNode {

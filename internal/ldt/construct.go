@@ -1,6 +1,7 @@
 package ldt
 
-// This file implements the two LDT constructions.
+// This file describes the two LDT constructions and holds their span
+// formulas and pure helpers; step_construct.go implements them.
 //
 // ConstructAwake (randomized; substitution for Theorem 4 of [2], see
 // DESIGN.md §2): repeated fragment merging where each fragment flips a
@@ -31,78 +32,6 @@ func DefaultRoundPhases(np int) int { return log2ceil(np+1) + 1 }
 // occupies for the given parameters.
 func SpanConstructAwake(np, phases int) int64 {
 	return int64(phases) * (2*spanAdjacent + 4*spanWindow(np))
-}
-
-// ConstructAwake runs the randomized construction for the given number
-// of phases. On return every participant of a component of size ≤ np
-// belongs (w.h.p.) to a single LDT spanning the component.
-func (p *Proc) ConstructAwake(phases int) {
-	for ph := 0; ph < phases; ph++ {
-		// (a) Exchange fragment IDs with neighbors.
-		nbrRoot := map[int]int64{}
-		for _, m := range p.adjacent(kRoot, []int64{p.rootID}) {
-			nbrRoot[m.Port] = m.Msg.(opMsg).F[0]
-		}
-
-		// (b) Upcast the fragment's minimum outgoing edge.
-		agg, _ := p.upcast(p.minEdge(nbrRoot), mergeMinEdge)
-
-		// (c) Root draws the phase coin and broadcasts (edge, coin).
-		var down []int64
-		if p.IsRoot() {
-			if agg != nil {
-				down = []int64{agg[0], agg[1], int64(p.ctx.Rand().Intn(2))}
-			}
-			// No outgoing edge: component complete; broadcast nothing.
-		}
-		dec := p.downcast(down, nil)
-
-		var chosenLo, chosenHi, coin int64 = -1, -1, 0
-		if dec != nil {
-			chosenLo, chosenHi, coin = dec[0], dec[1], dec[2]
-		}
-
-		// (d) Endpoint exchange across fragment boundaries: everyone
-		// announces (rootID, coin, depth, chosenLo, chosenHi).
-		ann := []int64{p.rootID, coin, int64(p.depth), chosenLo, chosenHi}
-		in := p.adjacent(kRoot, ann)
-
-		var pend *pending
-		myPort := -1
-		if chosenLo >= 0 {
-			myPort = p.edgePort(chosenLo, chosenHi)
-		}
-		for _, m := range in {
-			f := m.Msg.(opMsg).F
-			nRoot, nCoin, nDepth, nLo, nHi := f[0], f[1], f[2], f[3], f[4]
-			if nRoot == p.rootID {
-				continue
-			}
-			// Tails fragment attaches through its chosen edge into a
-			// heads fragment.
-			if coin == 0 && m.Port == myPort && nCoin == 1 {
-				pend = &pending{
-					rootID:   nRoot,
-					depth:    int(nDepth) + 1,
-					parent:   m.Port,
-					viaChild: -1,
-				}
-			}
-			// Heads side: a tails neighbor whose chosen edge is this
-			// edge becomes a child.
-			if coin == 1 && nCoin == 0 && nLo >= 0 {
-				if q := p.edgePort(nLo, nHi); q == m.Port {
-					p.addChild(m.Port)
-				}
-			}
-		}
-
-		// (e) Relabel the merging fragment.
-		oldParent := p.parentPort
-		pend = p.upRelabel(pend)
-		pend = p.downRelabel(pend)
-		p.applyPending(pend, oldParent)
-	}
 }
 
 // crSpanPerPhase mirrors the exact window sequence of one
@@ -156,379 +85,6 @@ func syntheticParent(color int64) int64 {
 		return 1
 	}
 	return 0
-}
-
-// ConstructRound runs the deterministic Appendix A construction for
-// the given number of phases (DefaultRoundPhases(np) suffices).
-func (p *Proc) ConstructRound(phases int) {
-	for ph := 0; ph < phases; ph++ {
-		p.constructRoundPhase()
-	}
-}
-
-func (p *Proc) constructRoundPhase() {
-	// ---- Stage 1: minimum outgoing edge, known to all members. ----
-	nbrRoot := map[int]int64{}
-	for _, m := range p.adjacent(kRoot, []int64{p.rootID}) {
-		nbrRoot[m.Port] = m.Msg.(opMsg).F[0]
-	}
-	agg, _ := p.upcast(p.minEdge(nbrRoot), mergeMinEdge)
-	var down []int64
-	if p.IsRoot() && agg != nil {
-		down = []int64{agg[0], agg[1]}
-	}
-	dec := p.downcast(down, nil)
-	var chosenLo, chosenHi int64 = -1, -1
-	if dec != nil {
-		chosenLo, chosenHi = dec[0], dec[1]
-	}
-	parentEdgePort := -1
-	if chosenLo >= 0 {
-		parentEdgePort = p.edgePort(chosenLo, chosenHi)
-	}
-
-	// Endpoint exchange: (rootID, chosenLo, chosenHi).
-	in := p.adjacent(kRoot, []int64{p.rootID, chosenLo, chosenHi})
-	nbrChosen := map[int][2]int64{}
-	for _, m := range in {
-		f := m.Msg.(opMsg).F
-		nbrChosen[m.Port] = [2]int64{f[1], f[2]}
-	}
-	// childPorts: ports whose neighbor fragment chose the edge to us.
-	childPorts := []int{}
-	for _, q := range p.active {
-		if nbrRoot[q] == p.rootID {
-			continue
-		}
-		ch, ok := nbrChosen[q]
-		if !ok || ch[0] < 0 {
-			continue
-		}
-		if p.edgePort(ch[0], ch[1]) == q {
-			childPorts = append(childPorts, q)
-		}
-	}
-
-	// ---- Stage 2a: identify the supergraph-tree root fragment. ----
-	// The mutual pair: our chosen edge's far side also chose it.
-	var mutual []int64 // [otherRootID]
-	if parentEdgePort >= 0 {
-		if ch, ok := nbrChosen[parentEdgePort]; ok && ch == [2]int64{chosenLo, chosenHi} {
-			mutual = []int64{nbrRoot[parentEdgePort]}
-		}
-	}
-	aggMut, _ := p.upcast(mutual, mergeFirst)
-	var tFlag []int64
-	if p.IsRoot() {
-		isTRoot := int64(0)
-		if chosenLo < 0 {
-			isTRoot = 1 // no outgoing edge: fragment is alone, trivially root
-		} else if aggMut != nil && p.rootID < aggMut[0] {
-			isTRoot = 1
-		}
-		tFlag = []int64{isTRoot}
-	}
-	flag := p.downcast(tFlag, nil)
-	isTRoot := flag != nil && flag[0] == 1
-
-	// ---- Stage 2c: Cole–Vishkin 6-coloring of fragments. ----
-	// Each mini-step: downcast current color, adjacent exchange, upcast
-	// the parent fragment's color, root computes the next color.
-	color := p.rootID
-	colorStep := func(compute func(cur, parentColor, childColor int64) int64) {
-		cur := p.downcast(colorValIfRoot(&p.treeState, color), nil)
-		if cur != nil {
-			color = cur[0]
-		}
-		ex := p.adjacent(kRoot, []int64{p.rootID, color})
-		var parentColor, childColor []int64
-		for _, m := range ex {
-			f := m.Msg.(opMsg).F
-			if m.Port == parentEdgePort {
-				parentColor = []int64{f[1]}
-			}
-			for _, q := range childPorts {
-				if m.Port == q {
-					childColor = []int64{f[1]}
-				}
-			}
-		}
-		own := []int64{encOpt(parentColor), encOpt(childColor)}
-		aggC, _ := p.upcast(own, mergeOptPair)
-		if p.IsRoot() {
-			pc, cc := int64(-1), int64(-1)
-			if aggC != nil {
-				pc, cc = aggC[0], aggC[1]
-			}
-			if isTRoot || pc < 0 {
-				pc = syntheticParent(color)
-			}
-			color = compute(color, pc, cc)
-		}
-	}
-	for it := 0; it < cvIterations; it++ {
-		colorStep(func(cur, pc, _ int64) int64 { return cvStep(cur, pc) })
-	}
-	// Two shift-down + recolor passes eliminate colors 7 and 6.
-	for _, target := range []int64{7, 6} {
-		colorStep(func(cur, pc, _ int64) int64 {
-			// Shift down: take the parent's color; the T-root picks a
-			// fresh color from {0,1,2} different from its own.
-			if isTRoot {
-				return syntheticParent(cur)
-			}
-			return pc
-		})
-		colorStep(func(cur, pc, cc int64) int64 {
-			if cur != target {
-				return cur
-			}
-			for c := int64(0); c < 6; c++ {
-				if c != pc && c != cc {
-					return c
-				}
-			}
-			return cur // unreachable
-		})
-	}
-	// Distribute the final color.
-	if fin := p.downcast(colorValIfRoot(&p.treeState, color), nil); fin != nil {
-		color = fin[0]
-	}
-
-	// ---- Stage 2d: maximal matching of fragments along tree edges. ----
-	matched := false
-	fPorts := []int{} // my ports that carry F-edges (supergraph forest edges)
-	for c := int64(0); c < 6; c++ {
-		// m1: refresh members' matched flag.
-		var mv []int64
-		if p.IsRoot() {
-			mv = []int64{b2i(matched)}
-		}
-		if d := p.downcast(mv, nil); d != nil {
-			matched = d[0] == 1
-		}
-		// m2: exchange (rootID, matched).
-		ex := p.adjacent(kRoot, []int64{p.rootID, b2i(matched)})
-		nbrMatched := map[int]bool{}
-		for _, m := range ex {
-			f := m.Msg.(opMsg).F
-			nbrMatched[m.Port] = f[1] == 1
-		}
-		// m3: upcast minimum unmatched-child edge (color-c fragments).
-		var own []int64
-		if !matched && color == c {
-			for _, q := range childPorts {
-				if nbrMatched[q] {
-					continue
-				}
-				lo, hi := p.id, p.nbrID[q]
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				if own == nil || lo < own[0] || (lo == own[0] && hi < own[1]) {
-					own = []int64{lo, hi}
-				}
-			}
-		}
-		aggE, _ := p.upcast(own, mergeMinEdge)
-		// m4: downcast the chosen edge; choosing marks us matched.
-		var pick []int64
-		if p.IsRoot() && !matched && color == c && aggE != nil {
-			pick = []int64{aggE[0], aggE[1]}
-			matched = true
-		}
-		d := p.downcast(pick, nil)
-		var pickPort = -1
-		if d != nil {
-			matched = true
-			pickPort = p.edgePort(d[0], d[1])
-			if pickPort >= 0 {
-				// Only the endpoint whose port crosses to the child counts.
-				found := false
-				for _, q := range childPorts {
-					if q == pickPort {
-						found = true
-					}
-				}
-				if !found {
-					pickPort = -1
-				}
-			}
-		}
-		// m5: notify the chosen child across the edge.
-		var note []int64
-		if pickPort >= 0 {
-			note = []int64{1}
-			fPorts = append(fPorts, pickPort)
-		}
-		justMatched := -1
-		for _, got := range p.adjacentTargeted(pickPort, note) {
-			if got == parentEdgePort {
-				// Our parent matched us through our parent edge.
-				justMatched = got
-				fPorts = append(fPorts, got)
-			}
-		}
-		// m6: the newly matched child fragment informs its root.
-		var up []int64
-		if justMatched >= 0 {
-			up = []int64{1}
-		}
-		aggJ, _ := p.upcast(up, mergeFirst)
-		if p.IsRoot() && aggJ != nil {
-			matched = true
-		}
-	}
-	// Final matched-flag refresh.
-	var mv []int64
-	if p.IsRoot() {
-		mv = []int64{b2i(matched)}
-	}
-	if d := p.downcast(mv, nil); d != nil {
-		matched = d[0] == 1
-	}
-
-	// ---- Stage 2e: unmatched non-root fragments attach to parent. ----
-	var attach []int64
-	attachPort := -1
-	if !matched && !isTRoot && parentEdgePort >= 0 {
-		attachPort = parentEdgePort
-		attach = []int64{1}
-		fPorts = append(fPorts, parentEdgePort)
-	}
-	fPorts = append(fPorts, p.adjacentTargeted(attachPort, attach)...)
-
-	// ---- Stage 2f: an unmatched T-root attaches to one child. ----
-	var ownC []int64
-	if !matched && isTRoot {
-		for _, q := range childPorts {
-			lo, hi := p.id, p.nbrID[q]
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if ownC == nil || lo < ownC[0] || (lo == ownC[0] && hi < ownC[1]) {
-				ownC = []int64{lo, hi}
-			}
-		}
-	}
-	aggC2, _ := p.upcast(ownC, mergeMinEdge)
-	var pick2 []int64
-	if p.IsRoot() && !matched && isTRoot && aggC2 != nil {
-		pick2 = []int64{aggC2[0], aggC2[1]}
-	}
-	d2 := p.downcast(pick2, nil)
-	pick2Port := -1
-	if d2 != nil {
-		if q := p.edgePort(d2[0], d2[1]); q >= 0 {
-			for _, c := range childPorts {
-				if c == q {
-					pick2Port = q
-					fPorts = append(fPorts, q)
-				}
-			}
-		}
-	}
-	var note2 []int64
-	if pick2Port >= 0 {
-		note2 = []int64{1}
-	}
-	fPorts = append(fPorts, p.adjacentTargeted(pick2Port, note2)...)
-
-	// ---- Stage 3: merge each small-depth tree around its minimum
-	// fragment ID. ----
-	fSet := map[int]bool{}
-	for _, q := range fPorts {
-		fSet[q] = true
-	}
-	coreID := p.rootID
-	for it := 0; it < coreIters; it++ {
-		ex := p.adjacent(kRoot, []int64{coreID})
-		best := coreID
-		for _, m := range ex {
-			if !fSet[m.Port] {
-				continue
-			}
-			if v := m.Msg.(opMsg).F[0]; v < best {
-				best = v
-			}
-		}
-		var up []int64
-		if best < coreID {
-			up = []int64{best}
-		}
-		aggM, _ := p.upcast(up, mergeMinVal)
-		var dn []int64
-		if p.IsRoot() {
-			c := coreID
-			if aggM != nil && aggM[0] < c {
-				c = aggM[0]
-			}
-			dn = []int64{c}
-		}
-		if d := p.downcast(dn, nil); d != nil {
-			coreID = d[0]
-		}
-	}
-
-	for it := 0; it < coreIters; it++ {
-		relabeled := p.rootID == coreID
-		ex := p.adjacent(kRoot, []int64{b2i(relabeled), coreID, int64(p.depth)})
-		var pend *pending
-		if !relabeled {
-			for _, m := range ex {
-				if !fSet[m.Port] {
-					continue
-				}
-				f := m.Msg.(opMsg).F
-				if f[0] == 1 && f[1] == coreID {
-					pend = &pending{
-						rootID:   coreID,
-						depth:    int(f[2]) + 1,
-						parent:   m.Port,
-						viaChild: -1,
-					}
-					break
-				}
-			}
-		}
-		// The far-side (relabeled) endpoint adopts the attaching node
-		// as a child.
-		if relabeled {
-			for _, m := range ex {
-				if !fSet[m.Port] {
-					continue
-				}
-				f := m.Msg.(opMsg).F
-				if f[0] == 0 {
-					p.addChild(m.Port)
-				}
-			}
-		}
-		oldParent := p.parentPort
-		pend = p.upRelabel(pend)
-		pend = p.downRelabel(pend)
-		p.applyPending(pend, oldParent)
-	}
-}
-
-// adjacentTargeted runs a one-round exchange in which only the given
-// port (if ≥ 0) is sent the payload; it returns every port a payload
-// arrived on (several fragments may notify the same node at once).
-func (p *Proc) adjacentTargeted(port int, payload []int64) []int {
-	w := p.cur
-	p.cur += spanAdjacent
-	p.wake(w)
-	if port >= 0 && payload != nil {
-		p.ctx.Send(port, opMsg{Kind: kRoot, F: payload})
-	}
-	var got []int
-	for _, m := range p.ctx.Deliver() {
-		if om, ok := m.Msg.(opMsg); ok && om.Kind == kRoot {
-			got = append(got, m.Port)
-		}
-	}
-	return got
 }
 
 func colorValIfRoot(t *treeState, color int64) []int64 {

@@ -79,10 +79,9 @@ var (
 
 // treeState is the pure (communication-free) half of a node's LDT
 // session: identity, discovered topology, and the oriented labeled
-// tree. It is shared verbatim by the two procedural forms — the
-// goroutine-form Proc and the step-form SProc — so the tree-mutation
-// logic (relabeling, child bookkeeping, edge selection) exists exactly
-// once and both forms stay bit-identical by construction.
+// tree. SProc embeds it; keeping the tree-mutation logic (relabeling,
+// child bookkeeping, edge selection) free of wake points keeps it out
+// of the continuation plumbing.
 type treeState struct {
 	np int
 	id int64 // unique node ID in [1, I]
@@ -126,137 +125,6 @@ func (t *treeState) IsRoot() bool { return t.parentPort < 0 }
 // Active returns the ports leading to participating neighbors.
 func (t *treeState) Active() []int { return t.active }
 
-// Proc is a node's participation in one LDT session over a connected
-// participant set of at most np nodes, in goroutine form. All
-// participants must construct their Proc with the same base round and
-// np; the window cursor then advances identically everywhere, which is
-// what synchronizes the schedule without communication.
-type Proc struct {
-	treeState
-	ctx *sim.Ctx
-	cur int64 // next unallocated sim round
-}
-
-// NewProc prepares an LDT session starting at sim round base. The
-// caller must currently be in an awake round strictly before base.
-func NewProc(ctx *sim.Ctx, base int64, id int64, np int) *Proc {
-	return &Proc{
-		treeState: newTreeState(id, np),
-		ctx:       ctx,
-		cur:       base,
-	}
-}
-
-// Cursor returns the first sim round not consumed by the session so far.
-func (p *Proc) Cursor() int64 { return p.cur }
-
-// wake ends the current round and wakes at sim round r (r must exceed
-// the current round, which the monotone window allocation guarantees).
-func (p *Proc) wake(r int64) { p.ctx.SleepUntil(r) }
-
-// Hello runs the one-round participant discovery: everyone broadcasts
-// its ID on all ports; the awake senders are exactly the participants.
-func (p *Proc) Hello() {
-	w := p.cur
-	p.cur += spanAdjacent
-	p.wake(w)
-	p.ctx.Broadcast(opMsg{Kind: kHello, F: []int64{p.id}})
-	for _, m := range p.ctx.Deliver() {
-		if om, ok := m.Msg.(opMsg); ok && om.Kind == kHello {
-			p.active = append(p.active, m.Port)
-			p.nbrID[m.Port] = om.F[0]
-		}
-	}
-}
-
-// adjacent runs a one-round exchange among participants: if payload is
-// non-nil it is broadcast (with the given kind) on all active ports;
-// the returned inbox holds messages of that kind only.
-func (p *Proc) adjacent(kind uint8, payload []int64) []sim.Inbound {
-	w := p.cur
-	p.cur += spanAdjacent
-	p.wake(w)
-	if payload != nil {
-		for _, q := range p.active {
-			p.ctx.Send(q, opMsg{Kind: kind, F: payload})
-		}
-	}
-	in := p.ctx.Deliver()
-	out := in[:0]
-	for _, m := range in {
-		if om, ok := m.Msg.(opMsg); ok && om.Kind == kind {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// upcast runs one upcast half-window: a node at depth d listens for its
-// children's values at offset np-d-1 and sends its merged value to its
-// parent at offset np-d. own is the node's contribution (nil for
-// none); merge folds child values into the accumulator. It returns the
-// node's accumulated value (at the root: the tree-wide aggregate) and
-// the per-port child values.
-func (p *Proc) upcast(own []int64, merge func(acc, in []int64) []int64) ([]int64, map[int][]int64) {
-	w := p.cur
-	p.cur += spanWindow(p.np)
-	acc := own
-	var childVals map[int][]int64
-	if len(p.children) > 0 {
-		p.wake(w + int64(p.np-p.depth-1))
-		childVals = map[int][]int64{}
-		for _, m := range p.ctx.Deliver() {
-			om, ok := m.Msg.(opMsg)
-			if !ok || om.Kind != kUp {
-				continue
-			}
-			childVals[m.Port] = om.F
-			acc = merge(acc, om.F)
-		}
-	}
-	if p.parentPort >= 0 && acc != nil {
-		p.wake(w + int64(p.np-p.depth))
-		p.ctx.Send(p.parentPort, opMsg{Kind: kUp, F: acc})
-		p.ctx.Deliver()
-	}
-	return acc, childVals
-}
-
-// downcast runs one downcast half-window: a node at depth d receives
-// its value from its parent at offset d-1 and sends per-child values at
-// offset d. rootVal seeds the root; perChild derives what each child
-// receives (nil perChild forwards the node's value unchanged). Nodes
-// whose parent sends nothing receive nil and send nothing.
-func (p *Proc) downcast(rootVal []int64, perChild func(mine []int64, port int) []int64) []int64 {
-	w := p.cur
-	p.cur += spanWindow(p.np)
-	var mine []int64
-	if p.parentPort < 0 {
-		mine = rootVal
-	} else {
-		p.wake(w + int64(p.depth-1))
-		for _, m := range p.ctx.Deliver() {
-			if om, ok := m.Msg.(opMsg); ok && om.Kind == kDown && m.Port == p.parentPort {
-				mine = om.F
-			}
-		}
-	}
-	if len(p.children) > 0 && mine != nil {
-		p.wake(w + int64(p.depth))
-		for _, q := range p.children {
-			out := mine
-			if perChild != nil {
-				out = perChild(mine, q)
-			}
-			if out != nil {
-				p.ctx.Send(q, opMsg{Kind: kDown, F: out})
-			}
-		}
-		p.ctx.Deliver()
-	}
-	return mine
-}
-
 // pending carries a node's not-yet-applied relabeling after a merge:
 // its new root ID, depth, parent port, and (for path nodes) the child
 // port the wave arrived through.
@@ -265,69 +133,6 @@ type pending struct {
 	depth    int
 	parent   int
 	viaChild int // -1 for non-path nodes and the attachment initiator
-}
-
-// upRelabel runs the first relabel half-window (Appendix A, stage 3b):
-// the wave climbs from the attachment node to the old fragment root
-// along old-depth offsets, reversing parent pointers. pend non-nil
-// marks this node as the attachment initiator.
-func (p *Proc) upRelabel(pend *pending) *pending {
-	w := p.cur
-	p.cur += spanWindow(p.np)
-	if len(p.children) > 0 {
-		p.wake(w + int64(p.np-p.depth-1))
-		for _, m := range p.ctx.Deliver() {
-			om, ok := m.Msg.(opMsg)
-			if !ok || om.Kind != kRelabel || pend != nil {
-				continue
-			}
-			pend = &pending{
-				rootID:   om.F[0],
-				depth:    int(om.F[1]) + 1,
-				parent:   m.Port,
-				viaChild: m.Port,
-			}
-		}
-	}
-	if pend != nil && p.parentPort >= 0 {
-		p.wake(w + int64(p.np-p.depth))
-		p.ctx.Send(p.parentPort, opMsg{Kind: kRelabel, F: []int64{pend.rootID, int64(pend.depth)}})
-		p.ctx.Deliver()
-	}
-	return pend
-}
-
-// downRelabel runs the second relabel half-window: nodes off the
-// reversal path learn their new root ID and depth from their (old)
-// parent, along old-depth offsets.
-func (p *Proc) downRelabel(pend *pending) *pending {
-	w := p.cur
-	p.cur += spanWindow(p.np)
-	if p.parentPort >= 0 {
-		p.wake(w + int64(p.depth-1))
-		for _, m := range p.ctx.Deliver() {
-			om, ok := m.Msg.(opMsg)
-			if !ok || om.Kind != kRelabel || m.Port != p.parentPort {
-				continue
-			}
-			if pend == nil {
-				pend = &pending{
-					rootID:   om.F[0],
-					depth:    int(om.F[1]) + 1,
-					parent:   p.parentPort,
-					viaChild: -1,
-				}
-			}
-		}
-	}
-	if len(p.children) > 0 && pend != nil {
-		p.wake(w + int64(p.depth))
-		for _, q := range p.children {
-			p.ctx.Send(q, opMsg{Kind: kRelabel, F: []int64{pend.rootID, int64(pend.depth)}})
-		}
-		p.ctx.Deliver()
-	}
-	return pend
 }
 
 // applyPending installs a relabel: path nodes (viaChild >= 0) reverse

@@ -35,6 +35,42 @@ func (h *harness) put(v int, s *snapshot) {
 	h.snaps[v] = s
 }
 
+// session runs body as one node's LDT session on a Machine: round 0
+// is the model's initial all-awake round, and body starts inside its
+// receive continuation, so an SProc at base 1 meets NewSProc's entry
+// contract. A node whose body never yields halts after round 0.
+type session struct {
+	sim.Machine
+	env  *sim.NodeEnv
+	body func(s *session)
+}
+
+func (s *session) Start(out *sim.Outbox) {
+	s.Begin(out, func() { s.Yield(0, nil, func([]sim.Inbound) { s.body(s) }) })
+}
+
+// sessions returns the step program whose every node runs body.
+func sessions(body func(s *session)) sim.StepProgram {
+	return func(env *sim.NodeEnv) sim.StepNode { return &session{env: env, body: body} }
+}
+
+// construct runs Hello and then the chosen construction on p, then k.
+func construct(p *SProc, np int, deterministic bool, k func()) {
+	p.Hello(func() {
+		if deterministic {
+			p.ConstructRound(DefaultRoundPhases(np), k)
+		} else {
+			p.ConstructAwake(DefaultAwakePhases(np), k)
+		}
+	})
+}
+
+// treeSnapshot captures p's tree after construction.
+func treeSnapshot(p *SProc) *snapshot {
+	return &snapshot{id: p.id, rootID: p.rootID, depth: p.depth,
+		parentPort: p.parentPort, children: append([]int(nil), p.children...)}
+}
+
 // runLDT builds an LDT over g (all nodes participating) with the given
 // construction, then optionally ranks and broadcasts a payload.
 func runLDT(t *testing.T, g *graph.Graph, np int, seed int64, deterministic bool,
@@ -42,29 +78,39 @@ func runLDT(t *testing.T, g *graph.Graph, np int, seed int64, deterministic bool
 	t.Helper()
 	h := &harness{snaps: map[int]*snapshot{}}
 	ids := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e)).Perm(1 << 16)
-	prog := func(ctx *sim.Ctx) {
-		id := int64(ids[ctx.Node()] + 1)
-		p := NewProc(ctx, 1, id, np)
-		p.Hello()
-		if deterministic {
-			p.ConstructRound(DefaultRoundPhases(np))
-		} else {
-			p.ConstructAwake(DefaultAwakePhases(np))
+	prog := sessions(func(sn *session) {
+		v := sn.env.ID
+		p := NewSProc(&sn.Machine, sn.env.Rand, 1, int64(ids[v]+1), np)
+		var s *snapshot
+		finish := func() {
+			s.cursor = p.Cursor()
+			h.put(v, s)
 		}
-		s := &snapshot{id: id, rootID: p.rootID, depth: p.depth,
-			parentPort: p.parentPort, children: append([]int(nil), p.children...)}
-		if withRank {
-			s.rank, s.total = p.Rank()
-		}
-		if payload != nil {
+		broadcast := func() {
+			if payload == nil {
+				finish()
+				return
+			}
 			bits := len(payload) * 8
-			chunkBits := ctx.Bandwidth() / 2
-			s.payload = p.BroadcastChunks(payload, bits, chunkBits, NumChunks(bits, chunkBits))
+			chunkBits := sn.env.Bandwidth / 2
+			p.BroadcastChunks(payload, bits, chunkBits, NumChunks(bits, chunkBits), func(data []byte) {
+				s.payload = data
+				finish()
+			})
 		}
-		s.cursor = p.Cursor()
-		h.put(ctx.Node(), s)
-	}
-	m, err := sim.Run(g, prog, sim.Config{Seed: seed, N: 1 << 16, Strict: true})
+		construct(p, np, deterministic, func() {
+			s = treeSnapshot(p)
+			if !withRank {
+				broadcast()
+				return
+			}
+			p.Rank(func(rank, total int) {
+				s.rank, s.total = rank, total
+				broadcast()
+			})
+		})
+	})
+	m, err := sim.RunStep(g, prog, sim.Config{Seed: seed, N: 1 << 16, Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}

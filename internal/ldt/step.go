@@ -1,17 +1,16 @@
 package ldt
 
-// This file is the resumable-step form of the LDT session: SProc
-// mirrors Proc primitive by primitive, but instead of blocking a
-// dedicated goroutine at each wake point it registers continuations on
-// a sim.Machine, so the whole session runs natively on the stepped
-// engine's inline hot path. Every primitive stages exactly the same
-// messages and wakes in exactly the same rounds as its goroutine
-// original — the cross-form tests hold the two bit-identical.
+// This file is the LDT session in resumable-step form: instead of
+// blocking at each wake point, SProc registers continuations on a
+// sim.Machine, so the whole session runs natively on the vector
+// engine's inline hot path. Its wakes, messages and RNG draws are held
+// to digests frozen from the goroutine-form original it was converted
+// from (see the ldtmis and core tests).
 //
-// Conversion rules (see sim.Machine):
-//   - each wake of the goroutine form becomes one Machine.Yield whose
-//     send closure stages what the goroutine sent after waking (the
-//     node is asleep in between, so the staged state is identical);
+// Continuation rules (see sim.Machine):
+//   - each wake is one Machine.Yield whose send closure stages what the
+//     node sends in that round (the node is asleep in between, so the
+//     staged state is the state at the wake);
 //   - code between two wakes runs inside the earlier wake's receive
 //     continuation;
 //   - a primitive that skips a conditional wake simply calls its
@@ -24,9 +23,10 @@ import (
 )
 
 // SProc is a node's participation in one LDT session over a connected
-// participant set of at most np nodes, in resumable-step form. The
-// scheduling contract matches Proc: all participants construct their
-// SProc with the same base round and np.
+// participant set of at most np nodes, in resumable-step form. All
+// participants must construct their SProc with the same base round and
+// np; the window cursor then advances identically everywhere, which is
+// what synchronizes the schedule without communication.
 type SProc struct {
 	treeState
 	m   *sim.Machine
@@ -64,7 +64,9 @@ func loopN(n int, body func(i int, next func()), k func()) {
 	it(0)
 }
 
-// Hello runs the one-round participant discovery, then k.
+// Hello runs the one-round participant discovery, then k: everyone
+// broadcasts its ID on all ports; the awake senders are exactly the
+// participants.
 func (p *SProc) Hello(k func()) {
 	w := p.cur
 	p.cur += spanAdjacent
@@ -81,8 +83,9 @@ func (p *SProc) Hello(k func()) {
 	})
 }
 
-// adjacent runs a one-round exchange among participants and hands k the
-// inbox filtered to messages of the given kind.
+// adjacent runs a one-round exchange among participants: if payload is
+// non-nil it is broadcast (with the given kind) on all active ports; k
+// receives the inbox filtered to messages of that kind.
 func (p *SProc) adjacent(kind uint8, payload []int64, k func(in []sim.Inbound)) {
 	w := p.cur
 	p.cur += spanAdjacent
@@ -124,9 +127,12 @@ func (p *SProc) adjacentTargeted(port int, payload []int64, k func(got []int)) {
 	})
 }
 
-// upcast runs one upcast half-window (same offsets and conditional
-// wakes as Proc.upcast), then k with the accumulated value and the
-// per-port child values.
+// upcast runs one upcast half-window: a node at depth d listens for its
+// children's values at offset np-d-1 and sends its merged value to its
+// parent at offset np-d. own is the node's contribution (nil for
+// none); merge folds child values into the accumulator. k receives the
+// node's accumulated value (at the root: the tree-wide aggregate) and
+// the per-port child values.
 func (p *SProc) upcast(own []int64, merge func(acc, in []int64) []int64, k func(acc []int64, childVals map[int][]int64)) {
 	w := p.cur
 	p.cur += spanWindow(p.np)
@@ -161,8 +167,12 @@ func (p *SProc) upcast(own []int64, merge func(acc, in []int64) []int64, k func(
 	sendUp()
 }
 
-// downcast runs one downcast half-window (same offsets and conditional
-// wakes as Proc.downcast), then k with the node's received value.
+// downcast runs one downcast half-window: a node at depth d receives
+// its value from its parent at offset d-1 and sends per-child values at
+// offset d. rootVal seeds the root; perChild derives what each child
+// receives (nil perChild forwards the node's value unchanged). Nodes
+// whose parent sends nothing receive nil and send nothing. k receives
+// the node's value.
 func (p *SProc) downcast(rootVal []int64, perChild func(mine []int64, port int) []int64, k func(mine []int64)) {
 	w := p.cur
 	p.cur += spanWindow(p.np)
@@ -201,7 +211,10 @@ func (p *SProc) downcast(rootVal []int64, perChild func(mine []int64, port int) 
 	})
 }
 
-// upRelabel runs the first relabel half-window, then k with the
+// upRelabel runs the first relabel half-window (Appendix A, stage 3b):
+// the wave climbs from the attachment node to the old fragment root
+// along old-depth offsets, reversing parent pointers. pend non-nil
+// marks this node as the attachment initiator. k receives the
 // (possibly discovered) pending relabel.
 func (p *SProc) upRelabel(pend *pending, k func(*pending)) {
 	w := p.cur
@@ -238,7 +251,9 @@ func (p *SProc) upRelabel(pend *pending, k func(*pending)) {
 	send()
 }
 
-// downRelabel runs the second relabel half-window, then k.
+// downRelabel runs the second relabel half-window: nodes off the
+// reversal path learn their new root ID and depth from their (old)
+// parent, along old-depth offsets. Then k.
 func (p *SProc) downRelabel(pend *pending, k func(*pending)) {
 	w := p.cur
 	p.cur += spanWindow(p.np)
@@ -278,8 +293,10 @@ func (p *SProc) downRelabel(pend *pending, k func(*pending)) {
 	send()
 }
 
-// Rank computes the node's rank and the exact tree size (step form of
-// Proc.Rank), then k(rank, total).
+// Rank computes the node's rank in the in-order-style total ordering of
+// Appendix A.3 (visit the lowest-port subtree, then the node, then the
+// remaining subtrees) and the exact number of nodes in the LDT, then
+// k(rank, total). Rank values are 1-based.
 func (p *SProc) Rank(k func(rank, total int)) {
 	p.upcast([]int64{1}, func(acc, in []int64) []int64 {
 		return []int64{acc[0] + in[0]}
@@ -317,9 +334,10 @@ func (p *SProc) Rank(k func(rank, total int)) {
 	})
 }
 
-// BroadcastChunks ships a root payload to every node in numChunks
-// downcast windows (step form of Proc.BroadcastChunks), then k with the
-// reassembled payload bytes.
+// BroadcastChunks ships a root payload of payloadBits bits to every
+// node in numChunks downcast windows of chunkBits bits each. The root
+// supplies the payload; k receives the reassembled payload bytes
+// (zero-padded to whole bytes) at every node.
 func (p *SProc) BroadcastChunks(payload []byte, payloadBits, chunkBits, numChunks int, k func(data []byte)) {
 	acc := newBitAccum(payloadBits)
 	loopN(numChunks, func(c int, next func()) {

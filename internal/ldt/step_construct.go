@@ -1,16 +1,16 @@
 package ldt
 
-// Step forms of the two LDT constructions: line-for-line CPS
-// transcriptions of Proc.ConstructAwake and Proc.ConstructRound in
-// construct.go. Every wake, message, and RNG draw happens at the same
-// sequential point as in the goroutine originals, which is what keeps
-// the two forms bit-identical (the cross-form tests assert it). When
-// changing one form, change the other in lockstep.
+// The two LDT constructions (described in construct.go) in
+// continuation-passing step form. Every wake, message and RNG draw
+// happens at the same sequential point as in the goroutine originals
+// they were transcribed from, which the frozen ldtmis and core digests
+// hold them to.
 
 import "awakemis/internal/sim"
 
 // ConstructAwake runs the randomized construction for the given number
-// of phases (step form of Proc.ConstructAwake), then k.
+// of phases, then k. By then every participant of a component of size
+// ≤ np belongs (w.h.p.) to a single LDT spanning the component.
 func (p *SProc) ConstructAwake(phases int, k func()) {
 	loopN(phases, func(_ int, next func()) {
 		// (a) Exchange fragment IDs with neighbors.
@@ -85,8 +85,8 @@ func (p *SProc) ConstructAwake(phases int, k func()) {
 	}, k)
 }
 
-// ConstructRound runs the deterministic Appendix A construction (step
-// form of Proc.ConstructRound), then k.
+// ConstructRound runs the deterministic Appendix A construction for the
+// given number of phases (DefaultRoundPhases(np) suffices), then k.
 func (p *SProc) ConstructRound(phases int, k func()) {
 	loopN(phases, func(_ int, next func()) {
 		p.constructRoundPhaseStep(next)
@@ -94,8 +94,7 @@ func (p *SProc) ConstructRound(phases int, k func()) {
 }
 
 func (p *SProc) constructRoundPhaseStep(done func()) {
-	// Phase state shared by the stage continuations, mirroring the
-	// locals of Proc.constructRoundPhase.
+	// Phase state shared by the stage continuations.
 	var (
 		nbrRoot        map[int]int64
 		nbrChosen      map[int][2]int64

@@ -39,29 +39,28 @@ func TestSubsetParticipation(t *testing.T) {
 
 	h := &harness{snaps: map[int]*snapshot{}}
 	ids := rand.New(rand.NewSource(7)).Perm(1 << 12)
-	prog := func(ctx *sim.Ctx) {
-		if !participant[ctx.Node()] {
-			return // non-participants drop out immediately
+	prog := sessions(func(sn *session) {
+		v := sn.env.ID
+		if !participant[v] {
+			return // non-participants drop out after round 0
 		}
-		id := int64(ids[ctx.Node()] + 1)
-		p := NewProc(ctx, 1, id, np)
-		p.Hello()
-		// Hello must discover exactly the participating neighbors.
-		wantDeg := 0
-		for _, w := range g.Neighbors(ctx.Node()) {
-			if participant[w] {
-				wantDeg++
+		p := NewSProc(&sn.Machine, sn.env.Rand, 1, int64(ids[v]+1), np)
+		p.Hello(func() {
+			// Hello must discover exactly the participating neighbors.
+			wantDeg := 0
+			for _, w := range g.Neighbors(v) {
+				if participant[w] {
+					wantDeg++
+				}
 			}
-		}
-		if len(p.Active()) != wantDeg {
-			t.Errorf("node %d discovered %d participants, want %d",
-				ctx.Node(), len(p.Active()), wantDeg)
-		}
-		p.ConstructAwake(DefaultAwakePhases(np))
-		h.put(ctx.Node(), &snapshot{id: id, rootID: p.rootID, depth: p.depth,
-			parentPort: p.parentPort, children: append([]int(nil), p.children...)})
-	}
-	if _, err := sim.Run(g, prog, sim.Config{Seed: 3, N: 1 << 12, Strict: true}); err != nil {
+			if len(p.Active()) != wantDeg {
+				t.Errorf("node %d discovered %d participants, want %d",
+					v, len(p.Active()), wantDeg)
+			}
+			p.ConstructAwake(DefaultAwakePhases(np), func() { h.put(v, treeSnapshot(p)) })
+		})
+	})
+	if _, err := sim.RunStep(g, prog, sim.Config{Seed: 3, N: 1 << 12, Strict: true}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -109,21 +108,18 @@ func TestQuickConstructionsOnRandomGraphs(t *testing.T) {
 		g := connectify(graph.GNP(n, 0.3, rng))
 		h := &harness{snaps: map[int]*snapshot{}}
 		ids := rng.Perm(1 << 12)
-		prog := func(ctx *sim.Ctx) {
-			id := int64(ids[ctx.Node()] + 1)
-			p := NewProc(ctx, 1, id, n)
-			p.Hello()
-			if det {
-				p.ConstructRound(DefaultRoundPhases(n))
-			} else {
-				p.ConstructAwake(DefaultAwakePhases(n))
-			}
-			rank, total := p.Rank()
-			h.put(ctx.Node(), &snapshot{id: id, rootID: p.rootID, depth: p.depth,
-				parentPort: p.parentPort, children: append([]int(nil), p.children...),
-				rank: rank, total: total})
-		}
-		if _, err := sim.Run(g, prog, sim.Config{Seed: seed, N: 1 << 12, Strict: true}); err != nil {
+		prog := sessions(func(sn *session) {
+			v := sn.env.ID
+			p := NewSProc(&sn.Machine, sn.env.Rand, 1, int64(ids[v]+1), n)
+			construct(p, n, det, func() {
+				p.Rank(func(rank, total int) {
+					s := treeSnapshot(p)
+					s.rank, s.total = rank, total
+					h.put(v, s)
+				})
+			})
+		})
+		if _, err := sim.RunStep(g, prog, sim.Config{Seed: seed, N: 1 << 12, Strict: true}); err != nil {
 			return false
 		}
 		// All same root; ranks form a permutation; totals equal n.

@@ -10,12 +10,11 @@
 // broadcasts; (4) each node adopts the permutation entry at its rank as
 // a fresh small ID and runs VT-MIS with those IDs.
 //
-// The node program exists in two bit-identical forms: the goroutine
-// form (RunSub / Program, the reference semantics) and the native
-// step-machine form (RunSubStep / StepProgram, built on internal/ldt's
-// resumable SProc ops), which the vector engine executes inline with
-// no per-node goroutine. Run uses the step form; the goroutine form is
-// kept as the cross-form oracle the equivalence tests check against.
+// The node program is a step machine (RunSubStep / StepProgram, built
+// on internal/ldt's resumable SProc ops), which the vector engine
+// executes inline with no per-node goroutine. Its outputs and metrics
+// are held to digests frozen from the goroutine-form original it was
+// ported from.
 package ldtmis
 
 import (
@@ -26,9 +25,7 @@ import (
 	"awakemis/internal/bitio"
 	"awakemis/internal/graph"
 	"awakemis/internal/ldt"
-	"awakemis/internal/misproto"
 	"awakemis/internal/sim"
-	"awakemis/internal/vtmis"
 )
 
 // Variant selects the LDT construction.
@@ -64,9 +61,7 @@ func permWidth(np int) int { return bitio.UintBits(uint64(np)) }
 
 // buildPermPayload is the root's side of the permutation shipment: a
 // uniformly random permutation of [1, total], each entry in width
-// bits, null-filled to payloadBits per §5.3. Pure (no wake points) and
-// shared verbatim by the goroutine and step forms — the bit-identity
-// contract depends on both forms encoding identically.
+// bits, null-filled to payloadBits per §5.3. Pure (no wake points).
 func buildPermPayload(rnd *rand.Rand, total, width, payloadBits int) []byte {
 	perm := rnd.Perm(total)
 	var w bitio.Writer
@@ -80,8 +75,7 @@ func buildPermPayload(rnd *rand.Rand, total, width, payloadBits int) []byte {
 }
 
 // decodeNewID extracts the rank-th width-bit permutation entry from
-// the reassembled payload: the node's new small ID. Shared by both
-// forms, like buildPermPayload.
+// the reassembled payload: the node's new small ID.
 func decodeNewID(data []byte, rank, width int) int {
 	r := bitio.NewReader(data)
 	newID := 0
@@ -107,7 +101,7 @@ func permChunks(np, bandwidth int) (payloadBits, chunkBits, numChunks int) {
 	return payloadBits, chunkBits, numChunks
 }
 
-// Span returns the total number of rounds RunSub occupies from its
+// Span returns the total number of rounds RunSubStep occupies from its
 // base round, for schedule pre-computation by composing algorithms
 // (Awake-MIS sizes its phases with this).
 func Span(np, bandwidth int, v Variant) int64 {
@@ -125,36 +119,6 @@ func Span(np, bandwidth int, v Variant) int64 {
 		int64(np) // VT-MIS window
 }
 
-// RunSub executes LDT-MIS as a sub-procedure over rounds
-// [base, base+Span(...)). Entry/exit contract matches vtmis.RunSub:
-// enter from an awake round before base; return inside the final awake
-// round, with the round not yet ended. id must be unique among
-// participants; state is updated to the node's MIS decision.
-// The node's new small ID (its permutation entry) is returned for
-// verification purposes.
-func RunSub(ctx *sim.Ctx, base int64, id int64, np int, v Variant, state *misproto.State) int {
-	p := ldt.NewProc(ctx, base, id, np)
-	p.Hello()
-	if v == VariantRound {
-		p.ConstructRound(constructPhases(v, np))
-	} else {
-		p.ConstructAwake(constructPhases(v, np))
-	}
-	rank, total := p.Rank()
-
-	payloadBits, chunkBits, numChunks := permChunks(np, ctx.Bandwidth())
-	width := permWidth(np)
-	var payload []byte
-	if p.IsRoot() {
-		payload = buildPermPayload(ctx.Rand(), total, width, payloadBits)
-	}
-	data := p.BroadcastChunks(payload, payloadBits, chunkBits, numChunks)
-	newID := decodeNewID(data, rank, width)
-
-	vtmis.RunSub(ctx, p.Cursor(), newID, np, state, p.Active())
-	return newID
-}
-
 // Result collects standalone outputs.
 type Result struct {
 	InMIS []bool
@@ -162,16 +126,6 @@ type Result struct {
 	// component the output is the LFMIS with respect to ascending
 	// NewID.
 	NewID []int
-}
-
-// Program returns the standalone per-node program in goroutine form:
-// the cross-form oracle (Run executes the step form natively).
-func Program(res *Result, ids []int64, np int, v Variant) sim.Program {
-	return func(sctx *sim.Ctx) {
-		state := misproto.Undecided
-		res.NewID[sctx.Node()] = RunSub(sctx, 1, ids[sctx.Node()], np, v, &state)
-		res.InMIS[sctx.Node()] = state == misproto.InMIS
-	}
 }
 
 // Run executes standalone LDT-MIS on g: every node participates, with
@@ -182,8 +136,7 @@ func Run(g *graph.Graph, ids []int64, np int, v Variant, cfg sim.Config) (*Resul
 }
 
 // RunContext is Run under a context; cancellation aborts the
-// simulation at the next round boundary. It runs the native step form,
-// which the vector engine executes inline.
+// simulation at the next round boundary.
 func RunContext(ctx context.Context, g *graph.Graph, ids []int64, np int, v Variant, cfg sim.Config) (*Result, *sim.Metrics, error) {
 	if len(ids) != g.N() {
 		return nil, nil, fmt.Errorf("ldtmis: %d ids for %d nodes", len(ids), g.N())

@@ -147,7 +147,7 @@ func TestLemma11AwakeComplexity(t *testing.T) {
 }
 
 func TestSpanMatchesExecution(t *testing.T) {
-	// Span must exactly bound the rounds RunSub consumes: the last
+	// Span must exactly bound the rounds RunSubStep consumes: the last
 	// possible wake is base+Span-1, so total rounds ≤ 1 + Span.
 	for _, v := range []Variant{VariantAwake, VariantRound} {
 		g := graph.Path(7)

@@ -1,12 +1,9 @@
 package ldtmis
 
-// Step form of LDT-MIS: the same pipeline as RunSub — hello, LDT
-// construction, ranking, chunked permutation broadcast, VT-MIS — but
-// running as continuations on a sim.Machine instead of a goroutine, so
-// the vector engine executes it natively. RunSubStep is also the
-// building block core's step-form Awake-MIS embeds into its phase
-// windows. Both forms are bit-identical; the cross-form tests assert
-// it.
+// Step form of LDT-MIS: hello, LDT construction, ranking, chunked
+// permutation broadcast and VT-MIS, running as continuations on a
+// sim.Machine, so the vector engine executes it natively. RunSubStep is
+// also the building block Awake-MIS embeds into its phase windows.
 
 import (
 	"math/rand"
@@ -17,13 +14,14 @@ import (
 	"awakemis/internal/vtmis"
 )
 
-// RunSubStep is RunSub in continuation-passing step form, driven by m.
-// rnd is the node's private randomness stream (sim.NodeEnv.Rand) and
-// bandwidth the run's CONGEST budget — the two values RunSub reads from
-// its Ctx. Entry/exit contract matches RunSub: call it at the end of an
-// awake round strictly before base; k runs inside the final awake
-// round's receive continuation with the node's MIS decision in *state
-// and its new small ID as argument.
+// RunSubStep executes LDT-MIS as a sub-procedure over rounds
+// [base, base+Span(...)), driven by m. rnd is the node's private
+// randomness stream (sim.NodeEnv.Rand) and bandwidth the run's CONGEST
+// budget. Entry/exit contract matches vtmis.RunSubStep: call it at the
+// end of an awake round strictly before base; k runs inside the final
+// awake round's receive continuation with the node's MIS decision in
+// *state and its new small ID (its permutation entry, returned for
+// verification) as argument. id must be unique among participants.
 func RunSubStep(m *sim.Machine, rnd *rand.Rand, bandwidth int, base int64, id int64, np int, v Variant, state *misproto.State, k func(newID int)) {
 	p := ldt.NewSProc(m, rnd, base, id, np)
 	p.Hello(func() {
@@ -65,7 +63,7 @@ type stepNode struct {
 	v   Variant
 }
 
-// StepProgram returns the standalone per-node program in step form.
+// StepProgram returns the standalone per-node program.
 func StepProgram(res *Result, ids []int64, np int, v Variant) sim.StepProgram {
 	return func(env *sim.NodeEnv) sim.StepNode {
 		return &stepNode{env: env, res: res, id: ids[env.ID], np: np, v: v}

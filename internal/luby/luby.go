@@ -37,7 +37,7 @@ type Result struct {
 }
 
 // valueSpace returns the tie-avoiding value space [0, N⁴) (clamped up
-// to 2¹⁶ for tiny N), shared by both program forms.
+// to 2¹⁶ for tiny N).
 func valueSpace(n int) int64 {
 	n4 := int64(n)
 	n4 = n4 * n4 * n4 * n4
@@ -47,52 +47,14 @@ func valueSpace(n int) int64 {
 	return n4
 }
 
-// Program returns the per-node program in goroutine form, writing into
-// res (res.InMIS must have length n). Each iteration costs two rounds:
-// a value-exchange round and a join-announcement round. Ties are broken
-// conservatively (neither endpoint is a local minimum), which preserves
-// independence; with values drawn from [0, N⁴) ties are rare.
-func Program(res *Result) sim.Program {
-	return func(ctx *sim.Ctx) {
-		n4 := valueSpace(ctx.N())
-		for {
-			// Value round: only undecided nodes send.
-			val := ctx.Rand().Int63n(n4)
-			ctx.Broadcast(valueMsg{Value: val})
-			in := ctx.Deliver()
-			isMin := true
-			for _, m := range in {
-				if vm, ok := m.Msg.(valueMsg); ok && vm.Value <= val {
-					isMin = false
-					break
-				}
-			}
-			ctx.Advance()
-
-			// Join round: winners announce; losers listen.
-			if isMin {
-				res.InMIS[ctx.Node()] = true
-				ctx.Broadcast(joinMsg{})
-				ctx.Deliver()
-				return // in MIS: halt (silence = inactive to neighbors)
-			}
-			in = ctx.Deliver()
-			for _, m := range in {
-				if _, ok := m.Msg.(joinMsg); ok {
-					return // neighbor joined: we are notinMIS, halt
-				}
-			}
-			ctx.Advance()
-		}
-	}
-}
-
-// stepNode is the state-machine form of Program: the two rounds of each
-// iteration become two OnWake calls. The join-round broadcast is staged
-// while processing the value round's inbox (it depends only on whether
-// this node was the local minimum), and the next iteration's value is
-// drawn while processing the join round — the same per-node RNG order
-// as the goroutine form, so both forms run bit-identically.
+// stepNode is one node of Luby's algorithm. Each iteration costs two
+// rounds, a value-exchange round and a join-announcement round, which
+// become two OnWake calls. The join-round broadcast is staged while
+// processing the value round's inbox (it depends only on whether this
+// node was the local minimum), and the next iteration's value is drawn
+// while processing the join round. Ties are broken conservatively
+// (neither endpoint is a local minimum), which preserves independence;
+// with values drawn from [0, N⁴) ties are rare.
 type stepNode struct {
 	res   *Result
 	node  int
@@ -103,7 +65,8 @@ type stepNode struct {
 	join  bool // next OnWake is a join round
 }
 
-// StepProgram returns the per-node program in step form.
+// StepProgram returns the per-node program, writing into res
+// (res.InMIS must have length n).
 func StepProgram(res *Result) sim.StepProgram {
 	return func(env *sim.NodeEnv) sim.StepNode {
 		return &stepNode{res: res, node: env.ID, env: env, n4: valueSpace(env.N)}

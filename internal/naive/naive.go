@@ -20,39 +20,11 @@ type Result struct {
 	InMIS []bool
 }
 
-// Program returns the per-node program in goroutine form. ids assigns
-// each node a unique ID in [1, I]. Every node stays awake for all I
-// rounds (that is the point of the baseline); the LFMIS with respect to
-// the ID order is produced.
-func Program(res *Result, ids []int, idBound int) sim.Program {
-	return func(ctx *sim.Ctx) {
-		id := ids[ctx.Node()]
-		state := misproto.Undecided
-		for r := 1; r <= idBound; r++ {
-			ctx.Broadcast(misproto.StateMsg{State: state})
-			in := ctx.Deliver()
-			if state == misproto.Undecided {
-				for _, m := range in {
-					if sm, ok := m.Msg.(misproto.StateMsg); ok && sm.State == misproto.InMIS {
-						state = misproto.NotInMIS
-						break
-					}
-				}
-			}
-			if r == id && state == misproto.Undecided {
-				state = misproto.InMIS
-				res.InMIS[ctx.Node()] = true
-			}
-			if r < idBound {
-				ctx.Advance()
-			}
-		}
-	}
-}
-
-// stepNode is the state-machine form of Program: algorithm round r is
+// stepNode is one node of the naive greedy: algorithm round r is
 // simulator round r-1, and the broadcast for round r+1 is staged while
-// processing round r's inbox. Both forms run bit-identically.
+// processing round r's inbox. Every node stays awake for all I rounds
+// (that is the point of the baseline); the LFMIS with respect to the
+// ID order is produced.
 type stepNode struct {
 	res     *Result
 	node    int
@@ -61,7 +33,8 @@ type stepNode struct {
 	state   misproto.State
 }
 
-// StepProgram returns the per-node program in step form.
+// StepProgram returns the per-node program. ids assigns each node a
+// unique ID in [1, I].
 func StepProgram(res *Result, ids []int, idBound int) sim.StepProgram {
 	return func(env *sim.NodeEnv) sim.StepNode {
 		return &stepNode{res: res, node: env.ID, id: ids[env.ID], idBound: idBound}

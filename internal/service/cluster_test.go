@@ -2,14 +2,16 @@
 // across two worker daemons produces the byte-identical artifact of
 // direct execution; a full restart of every process serves the
 // re-submitted study entirely from the persistent stores (zero engine
-// runs anywhere); and a dead peer's keys reroute to its ring
-// successor.
+// runs anywhere); a dead peer's keys reroute to its ring successor;
+// and a panicking job fails once, on one peer, without rerouting.
 package service_test
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -278,5 +280,68 @@ func TestClusterReroutesAroundDeadPeer(t *testing.T) {
 	}
 	if fs.EngineRuns != 0 {
 		t.Errorf("front engine_runs = %d, want 0", fs.EngineRuns)
+	}
+}
+
+// TestClusterPanickingJobFailsOnce: a spec that passes Validate but
+// panics while its graph is built (G(47000, 1) overflows the CSR edge
+// cap) must fail on the one peer that ran it, as a permanent failure:
+// the front neither reroutes it to the other peer nor marks the first
+// one down, and its job error names the spec hash.
+func TestClusterPanickingJobFailsOnce(t *testing.T) {
+	ctx := context.Background()
+	w1 := startDaemon(t, service.Config{}, nil)
+	defer w1.stop(t)
+	w2 := startDaemon(t, service.Config{}, nil)
+	defer w2.stop(t)
+	front := startDaemon(t, service.Config{}, []string{w1.ts.URL, w2.ts.URL})
+	defer front.stop(t)
+
+	var spec awakemis.Spec
+	if err := json.Unmarshal([]byte(`{"task":"luby","graph":{"family":"gnp","n":47000,"p":1}}`), &spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("the poison spec must pass Validate to reach the panic: %v", err)
+	}
+	hash, err := service.Hash(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	job, err := front.c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err = front.c.Wait(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.Status != client.JobFailed {
+		t.Fatalf("front job status = %s, want %s", job.Status, client.JobFailed)
+	}
+	if !strings.Contains(job.Error, hash) || !strings.Contains(job.Error, "panicked") {
+		t.Errorf("front job error %q does not report a panic naming the spec hash %s", job.Error, hash)
+	}
+
+	var submitted, failed []int64
+	for _, w := range []*daemon{w1, w2} {
+		st, err := w.c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitted = append(submitted, st.JobsSubmitted)
+		failed = append(failed, st.JobsFailed)
+	}
+	if submitted[0]+submitted[1] != 1 || failed[0]+failed[1] != 1 || submitted[0] != failed[0] {
+		t.Errorf("workers saw jobs_submitted %v, jobs_failed %v; want exactly one worker at 1/1 and the other at 0/0",
+			submitted, failed)
+	}
+	fs, err := front.c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs.PeersHealthy != 2 {
+		t.Errorf("peers_healthy = %d, want 2 (a failed job is not a dead peer)", fs.PeersHealthy)
 	}
 }

@@ -23,26 +23,17 @@ func spinStepProgram() StepProgram {
 	return func(env *NodeEnv) StepNode { return spinNode{} }
 }
 
-func spinGoroutineProgram() Program {
-	return func(ctx *Ctx) {
-		for {
-			ctx.Advance()
-		}
-	}
-}
-
 // cancelEngines is the grid the cancellation contract covers: the
-// lockstep engine and the one-lane vector engine (named "stepped") at
-// several worker counts.
+// one-lane vector engine at several worker counts.
 func cancelEngines() map[string]Engine {
 	return map[string]Engine{
-		"lockstep":  NewLockstepEngine(),
 		"stepped-1": soloEngine{workers: 1},
 		"stepped-4": soloEngine{workers: 4},
 	}
 }
 
-// panicAtRound is the step-form twin of panicAtRoundProgram.
+// panicAtRound panics on every node once round r is reached — a
+// mid-run abort that exercises the engine's failure path.
 func panicAtRound(r int64) StepProgram {
 	return func(env *NodeEnv) StepNode {
 		return stepFunc(func(round int64, inbox []Inbound, out *Outbox) (int64, bool) {
@@ -54,48 +45,35 @@ func panicAtRound(r int64) StepProgram {
 	}
 }
 
-// TestCancelMidRunBothEngines cancels spinning runs mid-flight. The
-// vector engine runs step-form programs only: handed a goroutine-form
-// program it must refuse it up front, before running any round.
+// TestCancelMidRunBothEngines cancels spinning runs mid-flight at each
+// worker count of the one engine.
 func TestCancelMidRunBothEngines(t *testing.T) {
 	g := graph.Cycle(64)
-	progs := map[string]NodeProgram{
-		"step-form":      spinStepProgram(),
-		"goroutine-form": spinGoroutineProgram(),
-	}
 	for ename, eng := range cancelEngines() {
-		for pname, prog := range progs {
-			t.Run(ename+"/"+pname, func(t *testing.T) {
-				ctx, cancel := context.WithCancel(context.Background())
-				go func() {
-					time.Sleep(10 * time.Millisecond)
-					cancel()
-				}()
-				start := time.Now()
-				m, err := eng.Run(ctx, g, prog, Config{Seed: 1})
-				elapsed := time.Since(start)
-				if _, ok := prog.(Program); ok && ename != "lockstep" {
-					if err == nil || errors.Is(err, context.Canceled) || m != nil {
-						t.Fatalf("goroutine program on %s: m=%v err=%v, want an up-front refusal", ename, m, err)
-					}
-					return
-				}
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("err = %v, want context.Canceled", err)
-				}
-				if elapsed > 5*time.Second {
-					t.Fatalf("cancellation took %v; not prompt", elapsed)
-				}
-				if m == nil {
-					t.Fatal("metrics should describe the partial run")
-				}
-				// The run was killed mid-flight: it must have made progress
-				// but not reached the MaxRounds backstop.
-				if m.Rounds < 1 || m.Rounds >= 1<<40 {
-					t.Errorf("partial rounds = %d", m.Rounds)
-				}
-			})
-		}
+		t.Run(ename+"/step-form", func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(10 * time.Millisecond)
+				cancel()
+			}()
+			start := time.Now()
+			m, err := eng.Run(ctx, g, spinStepProgram(), Config{Seed: 1})
+			elapsed := time.Since(start)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if elapsed > 5*time.Second {
+				t.Fatalf("cancellation took %v; not prompt", elapsed)
+			}
+			if m == nil {
+				t.Fatal("metrics should describe the partial run")
+			}
+			// The run was killed mid-flight: it must have made progress
+			// but not reached the MaxRounds backstop.
+			if m.Rounds < 1 || m.Rounds >= 1<<40 {
+				t.Errorf("partial rounds = %d", m.Rounds)
+			}
+		})
 	}
 }
 
@@ -128,24 +106,10 @@ func TestPreCancelledContextRunsNothing(t *testing.T) {
 	}
 }
 
-// panicAtRoundProgram panics on every node once the given round is
-// reached — a mid-run abort that exercises the engines' failure path.
-func panicAtRoundProgram(r int64) Program {
-	return func(ctx *Ctx) {
-		for {
-			if ctx.Round() >= r {
-				panic("boom")
-			}
-			ctx.Advance()
-		}
-	}
-}
-
 // TestAbortedRunsLeakNoGoroutines: every way a run can abort mid-round
 // — context cancellation, deadline, per-node panic, the MaxRounds
-// backstop — must join every goroutine the run started before Run
-// returns: the lockstep engine's per-node program goroutines and the
-// vector engine's worker pool. A leak of even one per run compounds
+// backstop — must join every goroutine the run started (the vector
+// engine's worker pool) before Run returns. A leak of even one per run compounds
 // quickly under the service daemon's batch traffic, so the test drives
 // many aborted runs and requires the goroutine count to settle back to
 // baseline.
@@ -154,10 +118,7 @@ func TestAbortedRunsLeakNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	for ename, eng := range cancelEngines() {
-		spin, panicky := NodeProgram(spinStepProgram()), NodeProgram(panicAtRound(50))
-		if ename == "lockstep" {
-			spin, panicky = spinGoroutineProgram(), panicAtRoundProgram(50)
-		}
+		spin, panicky := spinStepProgram(), panicAtRound(50)
 		for i := 0; i < 5; i++ {
 			// Context cancelled mid-round.
 			ctx, cancel := context.WithCancel(context.Background())
@@ -203,7 +164,7 @@ func TestAbortedRunsLeakNoGoroutines(t *testing.T) {
 
 func TestUncancelledContextHarmless(t *testing.T) {
 	// A live context must not perturb results: same metrics with and
-	// without one, on both engines.
+	// without one, at every worker count.
 	g := graph.Cycle(16)
 	prog := spinStepProgram()
 	cfg := Config{Seed: 4, MaxRounds: 100}

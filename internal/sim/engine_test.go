@@ -47,14 +47,12 @@ func (r *recordingTracer) Message(round int64, from, to, bits int, delivered boo
 func TestTracerEventStream(t *testing.T) {
 	g := graph.Cycle(8)
 	tr := &recordingTracer{}
-	prog := func(ctx *Ctx) {
-		ctx.Broadcast(intMsg(1))
-		ctx.Deliver()
-		ctx.Sleep(3)
-		ctx.Broadcast(intMsg(2))
-		ctx.Deliver()
-	}
-	m, err := Run(g, prog, Config{Seed: 1, Tracer: tr})
+	prog := proc(func(n *procNode) {
+		n.Yield(0, func(out *Outbox) { out.Broadcast(intMsg(1)) }, func([]Inbound) {
+			n.Yield(4, func(out *Outbox) { out.Broadcast(intMsg(2)) }, func([]Inbound) {})
+		})
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,18 +71,18 @@ func TestTracerEventStream(t *testing.T) {
 }
 
 func TestSleepImmediatelyAtStart(t *testing.T) {
-	// A node may end round 0 without any sends or explicit Deliver.
+	// A node may end round 0 without any sends.
 	g := graph.New(2)
-	prog := func(ctx *Ctx) {
-		if ctx.Node() == 0 {
-			ctx.SleepUntil(5)
-			if ctx.Round() != 5 {
-				t.Errorf("woke at %d, want 5", ctx.Round())
-			}
-			return
+	prog := wakes(func(env *NodeEnv, round int64, _ []Inbound, _ *Outbox) (int64, bool) {
+		if env.ID == 0 && round == 0 {
+			return 5, false
 		}
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+		if env.ID == 0 && round != 5 {
+			t.Errorf("woke at %d, want 5", round)
+		}
+		return 0, true
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,22 +96,27 @@ func TestHaltedNeighborsDoNotDeadlock(t *testing.T) {
 	// into the void for many rounds. The engine must neither deadlock
 	// nor deliver anything.
 	g := graph.CompleteBipartite(4, 4)
-	prog := func(ctx *Ctx) {
-		if ctx.Node() < 4 {
-			return // halt immediately
+	prog := proc(func(n *procNode) {
+		if n.env.ID < 4 {
+			n.Yield(0, nil, func([]Inbound) {}) // halt after round 0
+			return
 		}
-		for i := 0; i < 50; i++ {
-			ctx.Broadcast(intMsg(int64(i)))
-			in := ctx.Deliver()
-			for _, m := range in {
-				if _, ok := m.Msg.(intMsg); ok && ctx.Round() > 0 {
+		var loop func(r int64)
+		loop = func(r int64) {
+			if r == 50 {
+				n.Yield(r, nil, func([]Inbound) {})
+				return
+			}
+			n.Yield(r, func(out *Outbox) { out.Broadcast(intMsg(r)) }, func(in []Inbound) {
+				if len(in) > 0 && r > 0 {
 					t.Error("received message from halted neighbor")
 				}
-			}
-			ctx.Advance()
+				loop(r + 1)
+			})
 		}
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+		loop(0)
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,14 +129,14 @@ func TestHaltedNeighborsDoNotDeadlock(t *testing.T) {
 
 func TestZeroDegreeBroadcast(t *testing.T) {
 	g := graph.New(3)
-	prog := func(ctx *Ctx) {
-		ctx.Broadcast(intMsg(1)) // no ports: no-op
-		in := ctx.Deliver()
-		if len(in) != 0 {
-			t.Error("isolated node received messages")
-		}
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+	prog := proc(func(n *procNode) {
+		n.Yield(0, func(out *Outbox) { out.Broadcast(intMsg(1)) }, func(in []Inbound) { // no ports: no-op
+			if len(in) != 0 {
+				t.Error("isolated node received messages")
+			}
+		})
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +149,10 @@ func TestLongSparseScheduleMetrics(t *testing.T) {
 	// Nodes wake in disjoint singleton rounds; ExecutedRounds must equal
 	// the number of distinct wake rounds.
 	g := graph.New(5)
-	prog := func(ctx *Ctx) {
-		id := int64(ctx.Node())
-		ctx.SleepUntil(1000 + 100*id)
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+	prog := wakes(func(env *NodeEnv, round int64, _ []Inbound, _ *Outbox) (int64, bool) {
+		return 1000 + 100*int64(env.ID), round > 0
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,17 +279,5 @@ func TestWakeQueueOrder(t *testing.T) {
 			t.Fatalf("pop %d: nodes %v, want %v", i, nodes, wantNodes[i])
 		}
 		q.recycle(nodes)
-	}
-}
-
-// TestEngineNames pins the names reports and canonical spec hashes
-// carry: the vector engine, as Default() and as every lane handle, is
-// "stepped".
-func TestEngineNames(t *testing.T) {
-	if NewLockstepEngine().Name() != "lockstep" {
-		t.Error("lockstep engine name wrong")
-	}
-	if Default().Name() != "stepped" || NewVectorEngine(3, 1).Lane(2).Name() != "stepped" {
-		t.Error("vector engine must report the name stepped")
 	}
 }

@@ -1,7 +1,7 @@
-// Cross-engine checks of the determinism contract: goroutine-form
-// programs on the lockstep reference engine against their step-form
-// twins on the vector engine, at several worker and lane counts (see
-// simtest.CheckForms).
+// Digest checks of the determinism contract: step programs on the
+// vector engine, at several worker and lane counts, against the
+// digests frozen from their goroutine-form twins on the retired
+// lockstep reference engine (see simtest.CheckForms).
 package sim_test
 
 import (
@@ -19,10 +19,10 @@ type num int64
 
 func (num) Bits() int { return 16 }
 
-// twin pairs a goroutine program with its step-form port; neither
-// records output beyond Metrics.
-func twin(gp sim.Program, sp sim.StepProgram) simtest.Case {
-	return func() (sim.Program, sim.StepProgram, func() any) { return gp, sp, nil }
+// twin is a step program that records no output beyond Metrics: the
+// step-form twin of a retired goroutine-form program.
+func twin(sp sim.StepProgram) simtest.Case {
+	return func() (sim.StepProgram, func() any) { return sp, nil }
 }
 
 // stepper adapts a start function and a wake function to a StepNode.
@@ -57,11 +57,11 @@ func flood(rounds int64) sim.StepProgram {
 	}
 }
 
-// TestStepProgramAcrossEngines runs one step program on the lockstep
-// engine (as goroutine form) and on the vector engine grid.
+// TestStepProgramAcrossEngines holds a flood on the vector engine grid
+// to the digest the lockstep engine froze for it.
 func TestStepProgramAcrossEngines(t *testing.T) {
 	g := graph.Grid(8, 8)
-	m := simtest.CheckForms(t, "flood/grid", g, twin(nil, flood(5)), sim.Config{Seed: 3})
+	m := simtest.CheckForms(t, "flood/grid", g, twin(flood(5)), sim.Config{Seed: 3})
 	if m.Rounds != 5 || m.MaxAwake != 5 {
 		t.Errorf("rounds/maxawake = %d/%d, want 5/5", m.Rounds, m.MaxAwake)
 	}
@@ -71,59 +71,32 @@ func TestStepProgramAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestStepMatchesGoroutineForm runs semantically identical programs in
-// both forms and demands bit-identical metrics.
+// TestStepMatchesGoroutineForm holds a flood to the digest its
+// goroutine-form twin (broadcast, deliver, advance, five times) froze.
 func TestStepMatchesGoroutineForm(t *testing.T) {
-	gp := sim.Program(func(ctx *sim.Ctx) {
-		for i := int64(0); i < 5; i++ {
-			ctx.Broadcast(num(i))
-			ctx.Deliver()
-			if i < 4 {
-				ctx.Advance()
-			}
-		}
-	})
-	simtest.CheckForms(t, "flood/cycle", graph.Cycle(12), twin(gp, flood(5)), sim.Config{Seed: 9})
+	simtest.CheckForms(t, "flood/cycle", graph.Cycle(12), twin(flood(5)), sim.Config{Seed: 9})
 }
 
-// TestGoroutineProgramsAcrossEngines pairs the goroutine form's tricky
-// control-flow paths — immediate sleep, immediate halt, halting
-// mid-compute (staged sends must still transmit), clock skipping, and
-// randomness-driven schedules — with step twins, on graphs with and
-// without edges.
+// TestGoroutineProgramsAcrossEngines holds the step twins of the
+// goroutine form's tricky control-flow paths — immediate sleep,
+// immediate halt, halting mid-compute (staged sends must still
+// transmit), clock skipping, and randomness-driven schedules — to the
+// digests their originals froze, on graphs with and without edges.
 func TestGoroutineProgramsAcrossEngines(t *testing.T) {
 	cases := map[string]simtest.Case{
 		"sleep-at-start": twin(
-			func(ctx *sim.Ctx) {
-				if ctx.Node() == 0 {
-					ctx.SleepUntil(5)
-				}
-			},
 			func(env *sim.NodeEnv) sim.StepNode {
 				return stepper{wake: func(round int64, _ []sim.Inbound, _ *sim.Outbox) (int64, bool) {
 					return 5, env.ID != 0 || round == 5
 				}}
 			}),
 		"halt-immediately": twin(
-			func(ctx *sim.Ctx) {
-				if ctx.Node()%2 == 0 {
-					ctx.Halt()
-				}
-				ctx.Advance()
-				ctx.Advance()
-			},
 			func(env *sim.NodeEnv) sim.StepNode {
 				return stepper{wake: func(round int64, _ []sim.Inbound, _ *sim.Outbox) (int64, bool) {
 					return round + 1, env.ID%2 == 0 || round == 2
 				}}
 			}),
 		"return-mid-compute": twin(
-			func(ctx *sim.Ctx) {
-				ctx.Advance()
-				// Round 1: stage a send, then return without Deliver; the
-				// engine must still transmit it and meter the round.
-				ctx.Broadcast(num(7))
-			},
 			func(env *sim.NodeEnv) sim.StepNode {
 				return stepper{wake: func(round int64, _ []sim.Inbound, out *sim.Outbox) (int64, bool) {
 					out.Broadcast(num(7))
@@ -131,26 +104,12 @@ func TestGoroutineProgramsAcrossEngines(t *testing.T) {
 				}}
 			}),
 		"clock-skip": twin(
-			func(ctx *sim.Ctx) {
-				ctx.SleepUntil(1_000_000 + int64(ctx.Node()))
-			},
 			func(env *sim.NodeEnv) sim.StepNode {
 				return stepper{wake: func(round int64, _ []sim.Inbound, _ *sim.Outbox) (int64, bool) {
 					return 1_000_000 + int64(env.ID), round > 0
 				}}
 			}),
 		"random-schedule": twin(
-			func(ctx *sim.Ctx) {
-				for i := 0; i < 6; i++ {
-					ctx.Broadcast(num(ctx.Rand().Int63n(100)))
-					in := ctx.Deliver()
-					if len(in) > 0 && ctx.Rand().Int63n(2) == 0 {
-						ctx.Sleep(ctx.Rand().Int63n(5))
-					} else {
-						ctx.Advance()
-					}
-				}
-			},
 			func(env *sim.NodeEnv) sim.StepNode {
 				rnd, i := env.Rand, 0
 				return stepper{
@@ -171,20 +130,6 @@ func TestGoroutineProgramsAcrossEngines(t *testing.T) {
 				}
 			}),
 		"talk-then-listen": twin(
-			func(ctx *sim.Ctx) {
-				if ctx.Node() < 4 {
-					ctx.Sleep(1)
-					in := ctx.Deliver()
-					if ctx.Node() == 0 && len(in) != 0 {
-						panic("should hear nothing in a skipped round")
-					}
-					return
-				}
-				ctx.Broadcast(num(1))
-				ctx.Deliver()
-				ctx.Advance()
-				ctx.Broadcast(num(2))
-			},
 			func(env *sim.NodeEnv) sim.StepNode {
 				if env.ID < 4 {
 					return stepper{wake: func(round int64, in []sim.Inbound, _ *sim.Outbox) (int64, bool) {
@@ -218,30 +163,14 @@ func TestGoroutineProgramsAcrossEngines(t *testing.T) {
 }
 
 // TestFuzzEquivalence drives a randomized program over randomized
-// graphs in both forms and demands identical metrics and identical
-// per-node receive transcripts.
+// graphs and holds its metrics and per-node receive transcripts to
+// the digests its goroutine-form twin froze.
 func TestFuzzEquivalence(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		seed := int64(100 + trial)
 		g := graph.GNP(40, 0.12, rand.New(rand.NewSource(seed)))
-		mk := func() (sim.Program, sim.StepProgram, func() any) {
-			gsums := make([]int64, g.N())
-			ssums := make([]int64, g.N())
-			gp := sim.Program(func(ctx *sim.Ctx) {
-				v := ctx.Node()
-				for i := 0; i < 8; i++ {
-					if ctx.Rand().Int63n(3) > 0 {
-						ctx.Broadcast(num(ctx.Rand().Int63n(1000)))
-					}
-					for _, m := range ctx.Deliver() {
-						gsums[v] += int64(m.Msg.(num)) * int64(m.Port+1)
-					}
-					if ctx.Rand().Int63n(4) == 0 {
-						return
-					}
-					ctx.Sleep(ctx.Rand().Int63n(3))
-				}
-			})
+		mk := func() (sim.StepProgram, func() any) {
+			sums := make([]int64, g.N())
 			sp := sim.StepProgram(func(env *sim.NodeEnv) sim.StepNode {
 				rnd, v, i := env.Rand, env.ID, 0
 				send := func(out *sim.Outbox) {
@@ -256,7 +185,7 @@ func TestFuzzEquivalence(t *testing.T) {
 							return 0, true // the loop ended at the top of this round
 						}
 						for _, m := range in {
-							ssums[v] += int64(m.Msg.(num)) * int64(m.Port+1)
+							sums[v] += int64(m.Msg.(num)) * int64(m.Port+1)
 						}
 						if rnd.Int63n(4) == 0 {
 							return 0, true
@@ -269,15 +198,7 @@ func TestFuzzEquivalence(t *testing.T) {
 					},
 				}
 			})
-			// Exactly one of the two forms runs per call, so their sum is
-			// that run's transcript.
-			return gp, sp, func() any {
-				sums := make([]int64, g.N())
-				for v := range sums {
-					sums[v] = gsums[v] + ssums[v]
-				}
-				return sums
-			}
+			return sp, func() any { return sums }
 		}
 		simtest.CheckForms(t, fmt.Sprintf("fuzz/graph=%d", seed), g, mk, sim.Config{Seed: seed})
 	}

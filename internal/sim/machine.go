@@ -16,12 +16,13 @@ package sim
 // (directly or through any chain of nested calls) or returns without
 // yielding, which halts the node.
 //
-// Two rules keep a CPS procedure faithful to its goroutine original:
+// Two rules keep a CPS procedure faithful to the straight-line code it
+// encodes:
 //
 //  1. Yield must be in tail position — no code may run after it in the
-//     continuation, because the goroutine form would execute that code
-//     only after the next wake. Machine panics on a second Yield
-//     without an intervening wake, which catches most violations.
+//     continuation, because that code belongs after the next wake.
+//     Machine panics on a second Yield without an intervening wake,
+//     which catches most violations.
 //  2. The inbox slice passed to recv is borrowed: consume it inside the
 //     continuation, never retain it across a Yield.
 //

@@ -32,14 +32,14 @@ type floodBit struct{}
 
 func (floodBit) Bits() int { return 1 }
 
-// TestMachineDrivesStepNode checks the CPS trampoline end to end on
-// both engines: wakes in exactly the yielded rounds, sends staged by
+// TestMachineDrivesStepNode checks the CPS trampoline end to end at
+// two worker counts: wakes in exactly the yielded rounds, sends staged by
 // the yield's send closure, halt on continuation return.
 func TestMachineDrivesStepNode(t *testing.T) {
 	g := graph.Cycle(8)
 	for ename, eng := range map[string]Engine{
-		"stepped":  soloEngine{workers: 2},
-		"lockstep": NewLockstepEngine(),
+		"stepped-1": soloEngine{workers: 1},
+		"stepped-2": soloEngine{workers: 2},
 	} {
 		got := make([]int, g.N())
 		prog := StepProgram(func(env *NodeEnv) StepNode {

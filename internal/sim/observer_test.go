@@ -39,15 +39,13 @@ var staggerProg StepProgram = func(env *NodeEnv) StepNode {
 
 // TestObserverTotalsMatchMetrics pins the observer identity: summing
 // the per-round deltas over all observed rounds reproduces the final
-// Metrics exactly, on both engines at several worker counts, and the
-// deterministic RoundStat fields are bit-identical across all engine
-// configurations.
+// Metrics exactly at several worker counts, and the deterministic
+// RoundStat fields are bit-identical across them.
 func TestObserverTotalsMatchMetrics(t *testing.T) {
 	g := graph.Grid(16, 16)
 	var ref []RoundStat
 	var refName string
 	for name, eng := range map[string]Engine{
-		"lockstep":   NewLockstepEngine(),
 		"stepped-1":  soloEngine{workers: 1},
 		"stepped-4":  soloEngine{workers: 4},
 		"stepped-16": soloEngine{workers: 16},

@@ -8,9 +8,10 @@ import (
 
 // nodeSource is a splitmix64 stream: 8 bytes of state per node instead
 // of the ~4.9KB of math/rand's default source, so million-node runs
-// keep their RNG footprint negligible. Both engines derive every node's
-// stream from (Config.Seed, node index) through this source, which is
-// what makes runs bit-identical across engines and worker counts.
+// keep their RNG footprint negligible. The engine derives every node's
+// stream from (Config.Seed, node index) through this source (the
+// derivation, rng.Stream, is frozen), which is what makes runs
+// bit-identical across worker and lane counts and across releases.
 type nodeSource struct {
 	state uint64
 }
@@ -24,11 +25,4 @@ func (s *nodeSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 func (s *nodeSource) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15
 	return rng.Mix(s.state)
-}
-
-// newNodeRand returns node id's private randomness for a run seed. The
-// stream derivation lives in internal/rng (rng.Stream) and is frozen:
-// recorded runs replay bit-identically across engines and releases.
-func newNodeRand(seed int64, id int) *rand.Rand {
-	return rand.New(&nodeSource{state: uint64(rng.Stream(seed, int64(id)))})
 }

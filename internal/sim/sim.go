@@ -10,47 +10,38 @@
 //
 // # Node programs
 //
-// Algorithms come in two forms. A StepProgram is an explicit state
-// machine: the engine calls OnWake once per awake round with the
-// round's inbox, and the node returns the messages for its next awake
-// round plus when that round is. Every algorithm ships in this form. A
-// Program is the goroutine-style original that drives rounds
-// imperatively through a Ctx (Send, Deliver, Sleep); it survives as the
-// test oracle the step ports are checked against.
+// An algorithm is a StepProgram, an explicit state machine: the engine
+// calls OnWake once per awake round with the round's inbox, and the
+// node returns the messages for its next awake round plus when that
+// round is. Deeply sequential procedures are written in
+// continuation-passing style on a Machine, which is itself a StepNode.
 //
-// # Engines
+// # Engine
 //
-// One engine runs production simulations; a second is the reference:
-//
-//   - VectorEngine runs R ≥ 1 lanes of a step program on one graph in a
-//     single merged pass: struct-of-arrays node state, a wake-time
-//     bucket queue, and each round's OnWake calls fanned across a
-//     worker pool in deterministic shards. A plain run is one lane
-//     (Default). It reports the name "stepped".
-//   - LockstepEngine runs one goroutine per node, synchronized in
-//     lock-step by channels. It runs goroutine-form programs natively
-//     (and step programs through an adapter) and is the reference the
-//     tests hold the vector engine to.
+// VectorEngine runs R ≥ 1 lanes of a step program on one graph in a
+// single merged pass: struct-of-arrays node state, a wake-time bucket
+// queue, and each round's OnWake calls fanned across a worker pool in
+// deterministic shards. A plain run is one lane (Default). Reports name
+// it "stepped".
 //
 // # Determinism contract
 //
-// For a fixed (graph, program, Config.Seed), both engines — and the
-// vector engine at every worker and lane count — produce bit-identical
-// results: the same per-node outputs, the same Metrics (including
-// AwakePerNode), and the same message streams. This holds because
-// (a) each node owns a private RNG stream derived from Config.Seed and
-// its index, (b) a node's step depends only on its own state and
-// inbox, and (c) both routers process senders in ascending node order
-// and sort each inbox by arrival port. Cross-engine tests assert this
-// contract for every algorithm in the repository.
+// For a fixed (graph, program, Config.Seed), the vector engine at every
+// worker and lane count produces bit-identical results: the same
+// per-node outputs, the same Metrics (including AwakePerNode), and the
+// same message streams. This holds because (a) each node owns a
+// private RNG stream derived from Config.Seed and its index, (b) a
+// node's step depends only on its own state and inbox, and (c) the
+// router processes senders in ascending node order and sorts each
+// inbox by arrival port. Tests hold every algorithm to SHA-256 digests
+// of its Metrics and outputs, frozen from the goroutine-per-node
+// lockstep engine that served as the reference until its removal.
 //
-// The contract covers runs that complete without error. On a failing
-// run both engines report an error, but they differ in which node's
-// failure surfaces and in how far the metrics advanced: the vector
-// engine aborts at the first failing round (lowest node index first),
-// while the lockstep engine lets unaffected nodes keep running.
+// The contract covers runs that complete without error. A failing run
+// aborts at the first failing round and surfaces the lowest failing
+// node index.
 //
-// Both engines skip over rounds in which every node sleeps, so round
+// The engine skips over rounds in which every node sleeps, so round
 // numbers are exact (round complexity is measured faithfully) while
 // simulation cost is proportional to the total number of awake
 // node-rounds. Awake complexity (§1.4) is metered per node.
@@ -84,10 +75,10 @@ type Inbound struct {
 // Config controls a simulation run. The zero value gives sensible
 // defaults: bandwidth 16·⌈log₂N⌉+16 bits, strict CONGEST enforcement
 // off, a generous round cutoff, N equal to the actual node count, and
-// the default engine for the program's form.
+// the default engine.
 type Config struct {
 	// Seed derives every node's private randomness; identical seeds
-	// replay identical executions on every engine.
+	// replay identical executions at every worker and lane count.
 	Seed int64
 	// N is the common polynomial upper bound on the node count known to
 	// every node (the paper's N). Zero means the exact node count.
@@ -109,8 +100,8 @@ type Config struct {
 	// so attaching it costs O(1) per round regardless of n. Observer
 	// methods are called from the engine goroutine only.
 	Observer RoundObserver
-	// Engine selects the runtime engine. Nil means Default() for step
-	// programs and the lockstep engine for goroutine programs.
+	// Engine selects the runtime engine: one lane of a VectorEngine, or
+	// nil for Default().
 	Engine Engine
 }
 
@@ -283,43 +274,24 @@ type outMsg struct {
 	msg  Message
 }
 
-// Run simulates the goroutine-form prog on every node of g under cfg
-// and returns the measured complexity metrics. It returns an error if
-// any node program panicked, violated the CONGEST bound under Strict,
-// or the run exceeded MaxRounds. The engine is cfg.Engine, or the
-// lockstep engine (the goroutine form's native engine) when nil.
-func Run(g *graph.Graph, prog Program, cfg Config) (*Metrics, error) {
-	return RunContext(context.Background(), g, prog, cfg)
-}
-
-// RunContext is Run under a context: the engine polls ctx at every
-// round boundary and aborts the simulation — returning an error that
-// wraps ctx.Err() — once it is cancelled or past its deadline. A nil
-// ctx means context.Background().
-func RunContext(ctx context.Context, g *graph.Graph, prog Program, cfg Config) (*Metrics, error) {
-	if cfg.Engine == nil {
-		cfg.Engine = NewLockstepEngine()
-	}
-	return runOn(ctx, g, prog, cfg)
-}
-
-// RunStep is Run for step-form programs; a nil cfg.Engine means
-// Default().
+// RunStep simulates prog on every node of g under cfg and returns the
+// measured complexity metrics. It returns an error if any node program
+// panicked, violated the CONGEST bound under Strict, or the run
+// exceeded MaxRounds. A nil cfg.Engine means Default().
 func RunStep(g *graph.Graph, prog StepProgram, cfg Config) (*Metrics, error) {
 	return RunStepContext(context.Background(), g, prog, cfg)
 }
 
-// RunStepContext is RunContext for step-form programs.
+// RunStepContext is RunStep under a context: the engine polls ctx at
+// every round boundary and aborts the simulation — returning an error
+// that wraps ctx.Err() — once it is cancelled or past its deadline. A
+// nil ctx means context.Background().
 func RunStepContext(ctx context.Context, g *graph.Graph, prog StepProgram, cfg Config) (*Metrics, error) {
-	if cfg.Engine == nil {
-		cfg.Engine = Default()
-	}
-	return runOn(ctx, g, prog, cfg)
-}
-
-func runOn(ctx context.Context, g *graph.Graph, prog NodeProgram, cfg Config) (*Metrics, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if cfg.Engine == nil {
+		cfg.Engine = Default()
 	}
 	return cfg.Engine.Run(ctx, g, prog, cfg)
 }
@@ -349,8 +321,8 @@ func portFrom(nb []int32, v int32, from int) int {
 	return lo
 }
 
-// sortInbox orders a round's inbox by arrival port, identically in both
-// engines (part of the determinism contract). Routing appends in
+// sortInbox orders a round's inbox by arrival port (part of the
+// determinism contract). Routing appends in
 // ascending sender order, which already yields ascending receiver ports
 // (port numbering is sorted by neighbor index), so this insertion sort
 // is a stable O(len) verification pass in practice — and allocates

@@ -24,8 +24,8 @@ var (
 	_ Message = bigMsg{}
 )
 
-// collector gathers per-node outputs race-free (each node writes only
-// its own slot; the engine's final barrier orders it before reads).
+// collector gathers per-node outputs race-free (worker shards may step
+// several nodes at once).
 type collector struct {
 	mu   sync.Mutex
 	vals map[int][]int64
@@ -39,19 +39,45 @@ func (c *collector) add(node int, v int64) {
 	c.vals[node] = append(c.vals[node], v)
 }
 
+// procNode runs one straight-line procedure per node on a Machine: the
+// tests' sequential way to write a step program.
+type procNode struct {
+	Machine
+	env  *NodeEnv
+	body func(n *procNode)
+}
+
+func (n *procNode) Start(out *Outbox) { n.Begin(out, func() { n.body(n) }) }
+
+// proc returns the step program whose every node runs body.
+func proc(body func(n *procNode)) StepProgram {
+	return func(env *NodeEnv) StepNode { return &procNode{env: env, body: body} }
+}
+
+// wakes returns the step program whose every node runs f each awake
+// round, staging nothing in round 0.
+func wakes(f func(env *NodeEnv, round int64, inbox []Inbound, out *Outbox) (int64, bool)) StepProgram {
+	return func(env *NodeEnv) StepNode {
+		return stepFunc(func(round int64, inbox []Inbound, out *Outbox) (int64, bool) {
+			return f(env, round, inbox, out)
+		})
+	}
+}
+
 func TestPingExchange(t *testing.T) {
 	g := graph.Path(2)
 	got := newCollector()
-	prog := func(ctx *Ctx) {
-		ctx.Send(0, intMsg(int64(100+ctx.Node())))
-		in := ctx.Deliver()
-		if len(in) != 1 {
-			t.Errorf("node %d: got %d messages, want 1", ctx.Node(), len(in))
-			return
-		}
-		got.add(ctx.Node(), int64(in[0].Msg.(intMsg)))
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+	prog := proc(func(n *procNode) {
+		id := n.env.ID
+		n.Yield(0, func(out *Outbox) { out.Send(0, intMsg(int64(100+id))) }, func(in []Inbound) {
+			if len(in) != 1 {
+				t.Errorf("node %d: got %d messages, want 1", id, len(in))
+				return
+			}
+			got.add(id, int64(in[0].Msg.(intMsg)))
+		})
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,24 +98,24 @@ func TestPingExchange(t *testing.T) {
 func TestMessageToSleepingNodeIsLost(t *testing.T) {
 	g := graph.Path(2)
 	got := newCollector()
-	prog := func(ctx *Ctx) {
-		if ctx.Node() == 0 {
-			// Round 0: sleep through round 1, wake round 2.
-			ctx.Sleep(1)
-			// Round 2: nothing should be waiting (round-1 msg lost).
-			in := ctx.Deliver()
-			got.add(0, int64(len(in)))
+	send := func(v int64) func(*Outbox) { return func(out *Outbox) { out.Send(0, intMsg(v)) } }
+	prog := proc(func(n *procNode) {
+		if n.env.ID == 0 {
+			// Round 0, then sleep through round 1 and wake in round 2:
+			// only the round-2 message may arrive.
+			n.Yield(0, nil, func([]Inbound) {
+				n.Yield(2, nil, func(in []Inbound) { got.add(0, int64(len(in))) })
+			})
 			return
 		}
 		// Node 1: round 0 idle, round 1 send (lost), round 2 send (heard).
-		ctx.Advance()
-		ctx.Send(0, intMsg(7))
-		ctx.Advance()
-		ctx.Send(0, intMsg(9))
-		in := ctx.Deliver()
-		got.add(1, int64(len(in)))
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+		n.Yield(0, nil, func([]Inbound) {
+			n.Yield(1, send(7), func([]Inbound) {
+				n.Yield(2, send(9), func(in []Inbound) { got.add(1, int64(len(in))) })
+			})
+		})
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,22 +128,18 @@ func TestMessageToSleepingNodeIsLost(t *testing.T) {
 }
 
 func TestSenderAsleepMessageNotSent(t *testing.T) {
-	// A sleeping node cannot send: the API has no way to express it, and
-	// nothing is delivered to an awake listener from a sleeping neighbor.
+	// A sleeping node cannot send: nothing is delivered to an awake
+	// listener from a sleeping neighbor.
 	g := graph.Path(2)
 	heard := newCollector()
-	prog := func(ctx *Ctx) {
-		if ctx.Node() == 0 {
-			ctx.Sleep(3)
-			return
+	prog := wakes(func(env *NodeEnv, round int64, in []Inbound, _ *Outbox) (int64, bool) {
+		if env.ID == 0 {
+			return 4, round > 0 // asleep through rounds 1..3
 		}
-		for i := 0; i < 3; i++ {
-			in := ctx.Deliver()
-			heard.add(1, int64(len(in)))
-			ctx.Advance()
-		}
-	}
-	if _, err := Run(g, prog, Config{Seed: 1}); err != nil {
+		heard.add(1, int64(len(in)))
+		return round + 1, round == 3
+	})
+	if _, err := RunStep(g, prog, Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range heard.vals[1] {
@@ -129,11 +151,11 @@ func TestSenderAsleepMessageNotSent(t *testing.T) {
 
 func TestClockSkipping(t *testing.T) {
 	g := graph.New(3)
-	prog := func(ctx *Ctx) {
-		ctx.SleepUntil(1_000_000)
+	prog := wakes(func(_ *NodeEnv, round int64, _ []Inbound, _ *Outbox) (int64, bool) {
 		// One more awake round at 1e6, then halt.
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+		return 1_000_000, round > 0
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,17 +173,19 @@ func TestClockSkipping(t *testing.T) {
 func TestRoundNumbersVisible(t *testing.T) {
 	g := graph.New(1)
 	var rounds []int64
-	prog := func(ctx *Ctx) {
-		rounds = append(rounds, ctx.Round())
-		ctx.Advance()
-		rounds = append(rounds, ctx.Round())
-		ctx.SleepUntil(10)
-		rounds = append(rounds, ctx.Round())
-	}
-	if _, err := Run(g, prog, Config{Seed: 1}); err != nil {
+	next := map[int64]int64{0: 1, 1: 10}
+	prog := wakes(func(_ *NodeEnv, round int64, _ []Inbound, _ *Outbox) (int64, bool) {
+		rounds = append(rounds, round)
+		r, ok := next[round]
+		return r, !ok
+	})
+	if _, err := RunStep(g, prog, Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	want := []int64{0, 1, 10}
+	if len(rounds) != len(want) {
+		t.Fatalf("rounds = %v, want %v", rounds, want)
+	}
 	for i := range want {
 		if rounds[i] != want[i] {
 			t.Errorf("round[%d] = %d, want %d", i, rounds[i], want[i])
@@ -171,11 +195,8 @@ func TestRoundNumbersVisible(t *testing.T) {
 
 func TestStrictCongestViolation(t *testing.T) {
 	g := graph.Path(2)
-	prog := func(ctx *Ctx) {
-		ctx.Send(0, bigMsg{bits: 10_000})
-		ctx.Deliver()
-	}
-	_, err := Run(g, prog, Config{Seed: 1, Strict: true})
+	prog := StepProgram(func(*NodeEnv) StepNode { return bigSender{} })
+	_, err := RunStep(g, prog, Config{Seed: 1, Strict: true})
 	if err == nil {
 		t.Fatal("expected bandwidth error")
 	}
@@ -187,11 +208,8 @@ func TestStrictCongestViolation(t *testing.T) {
 
 func TestNonStrictAllowsBigMessages(t *testing.T) {
 	g := graph.Path(2)
-	prog := func(ctx *Ctx) {
-		ctx.Send(0, bigMsg{bits: 10_000})
-		ctx.Deliver()
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+	prog := StepProgram(func(*NodeEnv) StepNode { return bigSender{} })
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,12 +220,10 @@ func TestNonStrictAllowsBigMessages(t *testing.T) {
 
 func TestMaxRoundsAborts(t *testing.T) {
 	g := graph.New(1)
-	prog := func(ctx *Ctx) {
-		for {
-			ctx.Sleep(100)
-		}
-	}
-	_, err := Run(g, prog, Config{Seed: 1, MaxRounds: 500})
+	prog := wakes(func(_ *NodeEnv, round int64, _ []Inbound, _ *Outbox) (int64, bool) {
+		return round + 101, false
+	})
+	_, err := RunStep(g, prog, Config{Seed: 1, MaxRounds: 500})
 	if !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("err = %v, want ErrMaxRounds", err)
 	}
@@ -215,29 +231,26 @@ func TestMaxRoundsAborts(t *testing.T) {
 
 func TestProgramPanicBecomesError(t *testing.T) {
 	g := graph.Path(3)
-	prog := func(ctx *Ctx) {
-		if ctx.Node() == 1 {
+	prog := wakes(func(env *NodeEnv, _ int64, _ []Inbound, _ *Outbox) (int64, bool) {
+		if env.ID == 1 {
 			panic("boom")
 		}
-		ctx.Deliver()
-	}
-	_, err := Run(g, prog, Config{Seed: 1})
+		return 0, true
+	})
+	_, err := RunStep(g, prog, Config{Seed: 1})
 	if err == nil {
 		t.Fatal("expected error from panicking program")
 	}
 }
 
+// TestHalt: a node that returns done stops being metered while the
+// others keep running.
 func TestHalt(t *testing.T) {
 	g := graph.New(2)
-	prog := func(ctx *Ctx) {
-		if ctx.Node() == 0 {
-			ctx.Halt()
-			t.Error("unreachable after Halt")
-		}
-		ctx.Advance()
-		ctx.Advance()
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+	prog := wakes(func(env *NodeEnv, round int64, _ []Inbound, _ *Outbox) (int64, bool) {
+		return round + 1, env.ID == 0 || round == 2
+	})
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,19 +266,19 @@ func TestDeterministicReplay(t *testing.T) {
 	g := graph.Cycle(16)
 	run := func() []int64 {
 		vals := make([]int64, g.N())
-		prog := func(ctx *Ctx) {
-			x := ctx.Rand().Int63n(1000)
-			ctx.Broadcast(intMsg(x))
-			in := ctx.Deliver()
-			sum := x
-			for _, m := range in {
-				sum += int64(m.Msg.(intMsg))
-			}
-			vals[ctx.Node()] = sum
-			ctx.Advance()
-			vals[ctx.Node()] += ctx.Rand().Int63n(10)
-		}
-		if _, err := Run(g, prog, Config{Seed: 42}); err != nil {
+		prog := proc(func(n *procNode) {
+			id, rnd := n.env.ID, n.env.Rand
+			x := rnd.Int63n(1000)
+			n.Yield(0, func(out *Outbox) { out.Broadcast(intMsg(x)) }, func(in []Inbound) {
+				sum := x
+				for _, m := range in {
+					sum += int64(m.Msg.(intMsg))
+				}
+				vals[id] = sum
+				n.Yield(1, nil, func([]Inbound) { vals[id] += rnd.Int63n(10) })
+			})
+		})
+		if _, err := RunStep(g, prog, Config{Seed: 42}); err != nil {
 			t.Fatal(err)
 		}
 		return vals
@@ -283,13 +296,13 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	run := func(seed int64) int64 {
 		var mu sync.Mutex
 		var total int64
-		prog := func(ctx *Ctx) {
-			v := ctx.Rand().Int63n(1 << 30)
+		prog := proc(func(n *procNode) {
+			v := n.env.Rand.Int63n(1 << 30)
 			mu.Lock()
 			total += v
 			mu.Unlock()
-		}
-		if _, err := Run(g, prog, Config{Seed: seed}); err != nil {
+		})
+		if _, err := RunStep(g, prog, Config{Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 		return total
@@ -302,18 +315,18 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 func TestInboxSortedByPort(t *testing.T) {
 	g := graph.Star(5) // center 0 with 4 leaves
 	var ports []int
-	prog := func(ctx *Ctx) {
-		if ctx.Node() == 0 {
-			in := ctx.Deliver()
-			for _, m := range in {
-				ports = append(ports, m.Port)
-			}
+	prog := proc(func(n *procNode) {
+		if n.env.ID == 0 {
+			n.Yield(0, nil, func(in []Inbound) {
+				for _, m := range in {
+					ports = append(ports, m.Port)
+				}
+			})
 			return
 		}
-		ctx.Send(0, intMsg(int64(ctx.Node())))
-		ctx.Deliver()
-	}
-	if _, err := Run(g, prog, Config{Seed: 1}); err != nil {
+		n.Yield(0, func(out *Outbox) { out.Send(0, intMsg(int64(n.env.ID))) }, func([]Inbound) {})
+	})
+	if _, err := RunStep(g, prog, Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if len(ports) != 4 {
@@ -331,18 +344,18 @@ func TestPortSymmetry(t *testing.T) {
 	// back to the sender.
 	g := graph.Cycle(6)
 	bad := newCollector()
-	prog := func(ctx *Ctx) {
-		// Everybody announces on every port; receivers echo next round.
-		ctx.Broadcast(intMsg(int64(ctx.Node())))
-		in := ctx.Deliver()
-		for _, m := range in {
-			nb := g.Neighbor(ctx.Node(), m.Port)
-			if nb != int(m.Msg.(intMsg)) {
-				bad.add(ctx.Node(), int64(nb))
+	prog := proc(func(n *procNode) {
+		id := n.env.ID
+		n.Yield(0, func(out *Outbox) { out.Broadcast(intMsg(int64(id))) }, func(in []Inbound) {
+			for _, m := range in {
+				nb := g.Neighbor(id, m.Port)
+				if nb != int(m.Msg.(intMsg)) {
+					bad.add(id, int64(nb))
+				}
 			}
-		}
-	}
-	if _, err := Run(g, prog, Config{Seed: 1}); err != nil {
+		})
+	})
+	if _, err := RunStep(g, prog, Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if len(bad.vals) != 0 {
@@ -350,30 +363,19 @@ func TestPortSymmetry(t *testing.T) {
 	}
 }
 
-func TestSendAfterDeliverPanics(t *testing.T) {
-	g := graph.Path(2)
-	prog := func(ctx *Ctx) {
-		ctx.Deliver()
-		ctx.Send(0, intMsg(1)) // misuse
-	}
-	if _, err := Run(g, prog, Config{Seed: 1}); err == nil {
-		t.Fatal("expected misuse error")
-	}
-}
-
 func TestInvalidPortPanics(t *testing.T) {
 	g := graph.Path(2)
-	prog := func(ctx *Ctx) {
-		ctx.Send(5, intMsg(1))
-	}
-	if _, err := Run(g, prog, Config{Seed: 1}); err == nil {
+	prog := proc(func(n *procNode) {
+		n.Yield(0, func(out *Outbox) { out.Send(5, intMsg(1)) }, func([]Inbound) {})
+	})
+	if _, err := RunStep(g, prog, Config{Seed: 1}); err == nil {
 		t.Fatal("expected invalid-port error")
 	}
 }
 
 func TestNTooSmallRejected(t *testing.T) {
 	g := graph.New(10)
-	if _, err := Run(g, func(ctx *Ctx) {}, Config{N: 5}); err == nil {
+	if _, err := RunStep(g, proc(func(*procNode) {}), Config{N: 5}); err == nil {
 		t.Fatal("expected error for N < n")
 	}
 }
@@ -398,16 +400,23 @@ func TestAvgAwake(t *testing.T) {
 	}
 }
 
+// floodNode broadcasts in rounds 0..4, is awake once more in round 5,
+// then halts.
+type floodNode struct{}
+
+func (floodNode) Start(out *Outbox) { out.Broadcast(intMsg(0)) }
+
+func (floodNode) OnWake(round int64, _ []Inbound, out *Outbox) (int64, bool) {
+	if round < 4 {
+		out.Broadcast(intMsg(round + 1))
+	}
+	return round + 1, round == 5
+}
+
 func TestManyNodesFloodStress(t *testing.T) {
 	g := graph.Grid(30, 30)
-	prog := func(ctx *Ctx) {
-		for i := 0; i < 5; i++ {
-			ctx.Broadcast(intMsg(int64(i)))
-			ctx.Deliver()
-			ctx.Advance()
-		}
-	}
-	m, err := Run(g, prog, Config{Seed: 1})
+	prog := StepProgram(func(*NodeEnv) StepNode { return floodNode{} })
+	m, err := RunStep(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,24 +431,11 @@ func TestManyNodesFloodStress(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	g := graph.New(0)
-	m, err := Run(g, func(ctx *Ctx) {}, Config{Seed: 1})
+	m, err := RunStep(g, proc(func(*procNode) {}), Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Rounds != 0 {
 		t.Errorf("Rounds = %d, want 0", m.Rounds)
-	}
-}
-
-func TestExtraScratch(t *testing.T) {
-	g := graph.New(1)
-	prog := func(ctx *Ctx) {
-		ctx.SetExtra(42)
-		if ctx.Extra().(int) != 42 {
-			t.Error("Extra round-trip failed")
-		}
-	}
-	if _, err := Run(g, prog, Config{Seed: 1}); err != nil {
-		t.Fatal(err)
 	}
 }

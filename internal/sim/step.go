@@ -11,8 +11,6 @@ import (
 // lets the vector engine scale to millions of nodes.
 type StepProgram func(env *NodeEnv) StepNode
 
-func (StepProgram) isNodeProgram() {}
-
 // NodeEnv is a step node's static view of the network, fixed for the
 // whole run.
 type NodeEnv struct {
@@ -25,8 +23,9 @@ type NodeEnv struct {
 	N int
 	// Bandwidth is the per-message bit budget B.
 	Bandwidth int
-	// Rand is the node's private randomness stream, identical to the
-	// stream a goroutine-form program sees through Ctx.Rand.
+	// Rand is the node's private randomness stream, derived from
+	// (Config.Seed, ID) alone, so it is the same at every worker and
+	// lane count.
 	Rand *rand.Rand
 }
 
@@ -42,9 +41,8 @@ type NodeEnv struct {
 // node at the end of round r (anything staged is discarded).
 //
 // Sends for a round are therefore decided at the end of the node's
-// previous awake round — the same information horizon as the goroutine
-// form, where round r's sends may depend on everything up to round
-// r_prev's inbox but not on round r's.
+// previous awake round: round r's sends may depend on everything up to
+// round r_prev's inbox but not on round r's.
 //
 // The inbox slice is only valid during the OnWake call.
 type StepNode interface {
@@ -99,33 +97,3 @@ func (o *Outbox) Broadcast(m Message) {
 }
 
 func (o *Outbox) reset() { o.msgs = o.msgs[:0] }
-
-// asProgram adapts a step program to goroutine form, for engines that
-// execute goroutine programs natively.
-func (sp StepProgram) asProgram() Program {
-	return func(ctx *Ctx) {
-		env := &NodeEnv{
-			ID:        ctx.id,
-			Degree:    ctx.degree,
-			N:         ctx.cfg.N,
-			Bandwidth: ctx.cfg.Bandwidth,
-			Rand:      ctx.rng,
-		}
-		var out Outbox
-		out.configure(ctx.id, ctx.degree, ctx.cfg)
-		node := sp(env)
-		node.Start(&out)
-		for {
-			for _, om := range out.msgs {
-				ctx.Send(om.port, om.msg)
-			}
-			in := ctx.Deliver()
-			out.reset()
-			next, done := node.OnWake(ctx.round, in, &out)
-			if done {
-				return
-			}
-			ctx.SleepUntil(next)
-		}
-	}
-}

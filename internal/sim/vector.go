@@ -43,12 +43,12 @@ import (
 //
 // Determinism: each lane's per-node RNG streams, routing order, inbox
 // ordering, and metrics are bit-identical to a one-lane run of the
-// same (graph, program, Config), and to the lockstep reference — the
-// per-lane subsequence of the merged pass is exactly the one-lane
-// pass. The merged round loop is allocation-free at steady state
-// (guarded in alloc tests). A failure in any lane aborts the whole
-// merged run; every lane then returns the (deterministic,
-// lowest-packed-index) error.
+// same (graph, program, Config) — the per-lane subsequence of the
+// merged pass is exactly the one-lane pass — and so to the digests the
+// tests froze from the retired lockstep reference engine. The merged
+// round loop is allocation-free at steady state (guarded in alloc
+// tests). A failure in any lane aborts the whole merged run; every
+// lane then returns the (deterministic, lowest-packed-index) error.
 type VectorEngine struct {
 	lanes   int
 	workers int
@@ -88,10 +88,7 @@ func NewVectorEngine(lanes, workers int) *VectorEngine {
 	}
 }
 
-// Lane returns lane i's Engine handle. The handle reports the name
-// "stepped", which reports and canonical spec hashes have always
-// carried: the lane count is an execution strategy, not an engine
-// identity.
+// Lane returns lane i's Engine handle.
 func (ve *VectorEngine) Lane(i int) Engine { return &laneEngine{ve: ve, lane: i} }
 
 // Abort unblocks lanes waiting at the rendezvous when another lane
@@ -118,19 +115,10 @@ type laneEngine struct {
 	lane int
 }
 
-// Name implements Engine.
-func (le *laneEngine) Name() string { return "stepped" }
-
 // Run implements Engine: register the lane's program and config, and
 // either drive the merged pass (last arrival) or wait for its result.
-func (le *laneEngine) Run(ctx context.Context, g *graph.Graph, prog NodeProgram, cfg Config) (*Metrics, error) {
+func (le *laneEngine) Run(ctx context.Context, g *graph.Graph, sp StepProgram, cfg Config) (*Metrics, error) {
 	ve, lane := le.ve, le.lane
-	sp, ok := prog.(StepProgram)
-	if !ok {
-		err := fmt.Errorf("sim: vector: lane %d: only step-form programs can be vectorized, got %T", lane, prog)
-		ve.Abort(err)
-		return nil, err
-	}
 	cfg, err := cfg.withDefaults(g.N())
 	if err != nil {
 		ve.Abort(err)
@@ -441,8 +429,8 @@ func (vs *vecState) round(workers int) error {
 // lane's copy of w is awake.
 //
 // Delivery is a counting sort into the round's flat buffer: pass one
-// meters every send exactly like the lockstep router — in the same
-// per-message order, so tracers and metrics are bit-identical — and
+// meters every send in ascending sender order, then port order — the
+// per-message order tracers and metrics are frozen in — and
 // counts each receiver's deliveries; a prefix sum over the awake list
 // carves the buffer into per-receiver regions; pass two resolves
 // arrival ports with the shared cursors and fills the regions in the
@@ -558,10 +546,9 @@ func (vs *vecState) stepPacked(p int) {
 			vs.fail(p, panicError(r))
 		}
 	}()
-	// Native step programs only: the inbox is borrowed for the OnWake
-	// call (the vector engine rejects goroutine-form programs at
-	// registration). The region's capacity is clamped so a program
-	// appending to its inbox cannot clobber a neighbor's region.
+	// The inbox is borrowed for the OnWake call. The region's capacity
+	// is clamped so a program appending to its inbox cannot clobber a
+	// neighbor's region.
 	end := vs.inOff[p]
 	start := end - vs.inCount[p]
 	in := vs.inBuf[vs.par][start:end:end]

@@ -75,7 +75,7 @@ func runVectorLanes(t *testing.T, g *graph.Graph, progs []StepProgram, cfgs []Co
 
 // TestVectorMatchesScalar is the vector engine's determinism contract:
 // every lane of a merged run produces Metrics and an observer stream
-// bit-identical to a lockstep reference run of the same (graph,
+// bit-identical to a one-worker, one-lane run of the same (graph,
 // program, seed) — at several worker counts, on graphs dense and
 // sparse.
 func TestVectorMatchesScalar(t *testing.T) {
@@ -91,10 +91,10 @@ func TestVectorMatchesScalar(t *testing.T) {
 			var wantObs [][]RoundStat
 			for _, seed := range seeds {
 				rec := &statRecorder{}
-				m, err := NewLockstepEngine().Run(context.Background(), g, vecProbe,
+				m, err := soloEngine{workers: 1}.Run(context.Background(), g, vecProbe,
 					Config{Seed: seed, Observer: rec})
 				if err != nil {
-					t.Fatalf("%s: lockstep seed %d: %v", gname, seed, err)
+					t.Fatalf("%s: one-lane seed %d: %v", gname, seed, err)
 				}
 				wantMS = append(wantMS, m)
 				wantObs = append(wantObs, rec.stats)
@@ -114,11 +114,11 @@ func TestVectorMatchesScalar(t *testing.T) {
 					t.Fatalf("%s workers=%d lane %d: %v", gname, workers, i, errs[i])
 				}
 				if !reflect.DeepEqual(ms[i], wantMS[i]) {
-					t.Errorf("%s workers=%d lane %d metrics diverge:\nvector %+v\nlockstep %+v",
+					t.Errorf("%s workers=%d lane %d metrics diverge:\nmerged %+v\none-lane %+v",
 						gname, workers, i, ms[i], wantMS[i])
 				}
 				if !reflect.DeepEqual(recs[i].stats, wantObs[i]) {
-					t.Errorf("%s workers=%d lane %d observer stream diverges from lockstep", gname, workers, i)
+					t.Errorf("%s workers=%d lane %d observer stream diverges from the one-lane run", gname, workers, i)
 				}
 			}
 		}
@@ -126,7 +126,8 @@ func TestVectorMatchesScalar(t *testing.T) {
 }
 
 // singleLaneDigest is the SHA-256 of the Metrics JSON of vecProbe on a
-// 32-cycle at seed 11, frozen from the lockstep reference engine.
+// 32-cycle at seed 11, frozen from the retired lockstep reference
+// engine.
 const singleLaneDigest = "a6a76d89bc70bef57452792809a64d0f796e07645e5c59cc3c5f92fa00388d75"
 
 func metricsDigest(t *testing.T, m *Metrics) string {
@@ -140,22 +141,17 @@ func metricsDigest(t *testing.T, m *Metrics) string {
 }
 
 // TestVectorSingleLane pins the one-lane pass — every plain run — to
-// the lockstep reference and to its frozen digest.
+// its frozen digest at several worker counts.
 func TestVectorSingleLane(t *testing.T) {
 	g := graph.Cycle(32)
-	want, err := NewLockstepEngine().Run(context.Background(), g, vecProbe, Config{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := metricsDigest(t, want); d != singleLaneDigest {
-		t.Fatalf("lockstep metrics digest %s, frozen %s", d, singleLaneDigest)
-	}
-	ms, errs := runVectorLanes(t, g, []StepProgram{vecProbe}, []Config{{Seed: 11}}, 1)
-	if errs[0] != nil {
-		t.Fatal(errs[0])
-	}
-	if !reflect.DeepEqual(ms[0], want) {
-		t.Errorf("single-lane vector diverges from lockstep:\nvector %+v\nlockstep %+v", ms[0], want)
+	for _, workers := range []int{1, 4} {
+		ms, errs := runVectorLanes(t, g, []StepProgram{vecProbe}, []Config{{Seed: 11}}, workers)
+		if errs[0] != nil {
+			t.Fatal(errs[0])
+		}
+		if d := metricsDigest(t, ms[0]); d != singleLaneDigest {
+			t.Errorf("workers=%d: metrics digest %s, frozen %s", workers, d, singleLaneDigest)
+		}
 	}
 }
 
@@ -215,17 +211,6 @@ func TestVectorAbortUnblocksLanes(t *testing.T) {
 	// Lanes arriving after the abort see it too.
 	if _, err := ve.Lane(1).Run(context.Background(), g, vecProbe, Config{Seed: 2}); !errors.Is(err, cause) {
 		t.Fatalf("late lane returned %v, want %v", err, cause)
-	}
-}
-
-// TestVectorRejectsGoroutinePrograms: only native step programs can be
-// vectorized; goroutine-form programs are rejected at registration.
-func TestVectorRejectsGoroutinePrograms(t *testing.T) {
-	g := graph.Cycle(4)
-	ve := NewVectorEngine(1, 1)
-	prog := Program(func(ctx *Ctx) {})
-	if _, err := ve.Lane(0).Run(context.Background(), g, prog, Config{Seed: 1}); err == nil {
-		t.Fatal("goroutine program accepted by the vector engine")
 	}
 }
 

@@ -8,25 +8,52 @@ import (
 	"awakemis/internal/sim"
 )
 
+// stepNode stages start's sends for round 0 and runs wake each awake
+// round.
+type stepNode struct {
+	v     int
+	start func(v int, out *sim.Outbox)
+	wake  func(v int, round int64, out *sim.Outbox) (int64, bool)
+}
+
+func (n *stepNode) Start(out *sim.Outbox) {
+	if n.start != nil {
+		n.start(n.v, out)
+	}
+}
+
+func (n *stepNode) OnWake(round int64, _ []sim.Inbound, out *sim.Outbox) (int64, bool) {
+	return n.wake(n.v, round, out)
+}
+
+// steps returns the step program whose every node runs start and wake.
+func steps(start func(v int, out *sim.Outbox), wake func(v int, round int64, out *sim.Outbox) (int64, bool)) sim.StepProgram {
+	return func(env *sim.NodeEnv) sim.StepNode { return &stepNode{v: env.ID, start: start, wake: wake} }
+}
+
+// broadcast stages a probe on every port.
+func broadcast(_ int, out *sim.Outbox) { out.Broadcast(probe{}) }
+
 // run executes a tiny two-node protocol with a known wake pattern and
 // returns the collector.
 func run(t *testing.T) *Collector {
 	t.Helper()
 	c := NewCollector()
 	g := graph.Path(2)
-	prog := func(ctx *sim.Ctx) {
-		if ctx.Node() == 0 {
-			// Awake rounds 0,1,2 then 10.
-			ctx.Advance()
-			ctx.Send(0, probe{})
-			ctx.Advance() // round 2: neighbor asleep -> lost? neighbor awake in 0 only
-			ctx.SleepUntil(10)
-		} else {
+	next := map[int64]int64{0: 1, 1: 2, 2: 10}
+	prog := steps(nil, func(v int, round int64, out *sim.Outbox) (int64, bool) {
+		if v == 1 {
 			// Awake round 0 only; the round-1 message from node 0 is lost.
-			_ = ctx
+			return 0, true
 		}
-	}
-	if _, err := sim.Run(g, prog, sim.Config{Seed: 1, Tracer: c}); err != nil {
+		// Awake rounds 0,1,2 then 10; send in round 1.
+		if round == 0 {
+			out.Send(0, probe{})
+		}
+		r, ok := next[round]
+		return r, !ok
+	})
+	if _, err := sim.RunStep(g, prog, sim.Config{Seed: 1, Tracer: c}); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -136,14 +163,13 @@ func TestMaxNodesSampling(t *testing.T) {
 	c := NewCollector()
 	c.MaxNodes = 4
 	g := graph.Cycle(16)
-	prog := func(ctx *sim.Ctx) {
-		ctx.Broadcast(probe{})
-		ctx.Deliver()
-		ctx.Advance()
-		ctx.Broadcast(probe{})
-		ctx.Deliver()
-	}
-	if _, err := sim.Run(g, prog, sim.Config{Seed: 1, Tracer: c}); err != nil {
+	prog := steps(broadcast, func(v int, round int64, out *sim.Outbox) (int64, bool) {
+		if round == 0 {
+			broadcast(v, out)
+		}
+		return 1, round == 1
+	})
+	if _, err := sim.RunStep(g, prog, sim.Config{Seed: 1, Tracer: c}); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.AwakeRounds) != 4 {
@@ -189,16 +215,14 @@ func TestDefaultCapUnbounded(t *testing.T) {
 func TestRoundLog(t *testing.T) {
 	l := NewRoundLog()
 	g := graph.Cycle(32)
-	prog := func(ctx *sim.Ctx) {
-		ctx.Broadcast(probe{})
-		ctx.Deliver()
-		if ctx.Node()%2 == 0 {
-			ctx.Advance() // odd nodes sleep after round 0
-			ctx.Broadcast(probe{})
-			ctx.Deliver()
+	prog := steps(broadcast, func(v int, round int64, out *sim.Outbox) (int64, bool) {
+		if round == 0 && v%2 == 0 {
+			broadcast(v, out) // odd nodes halt after round 0
+			return 1, false
 		}
-	}
-	m, err := sim.Run(g, prog, sim.Config{Seed: 1, Observer: l})
+		return 0, true
+	})
+	m, err := sim.RunStep(g, prog, sim.Config{Seed: 1, Observer: l})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,59 +39,10 @@ type Result struct {
 	Color []int
 }
 
-// RunSub executes the coloring as a sub-procedure over rounds
-// [base, base+idBound), with the same entry/exit contract as
-// vtmis.RunSub. It returns the node's color.
-func RunSub(ctx *sim.Ctx, base int64, id, idBound int, ports []int) int {
-	rounds := vtree.AwakeRounds(id, idBound)
-	color := int32(-1)
-	taken := map[int32]bool{}
-	first := true
-	for _, r := range rounds {
-		target := base + int64(r) - 1
-		if first || target > ctx.Round() {
-			ctx.SleepUntil(target)
-			first = false
-		}
-		for _, p := range ports {
-			ctx.Send(p, colorMsg{Color: color})
-		}
-		in := ctx.Deliver()
-		if color < 0 {
-			for _, m := range in {
-				if cm, ok := m.Msg.(colorMsg); ok && cm.Color >= 0 {
-					taken[cm.Color] = true
-				}
-			}
-		}
-		if r == id && color < 0 {
-			for c := int32(0); ; c++ {
-				if !taken[c] {
-					color = c
-					break
-				}
-			}
-		}
-	}
-	return int(color)
-}
-
-// Program returns the standalone per-node program in goroutine form.
-func Program(res *Result, ids []int, idBound int) sim.Program {
-	return func(ctx *sim.Ctx) {
-		ports := make([]int, ctx.Degree())
-		for i := range ports {
-			ports[i] = i
-		}
-		res.Color[ctx.Node()] = RunSub(ctx, 1, ids[ctx.Node()], idBound, ports)
-	}
-}
-
-// stepNode is the state-machine form of Program: the node attends the
-// rounds of its communication set, collecting neighbor colors until its
-// own round, where it takes the smallest free color; every attended
+// stepNode is one node of the coloring: the node attends the rounds of
+// its communication set, collecting neighbor colors until its own
+// round, where it takes the smallest free color; every attended
 // round's broadcast carries its current color (-1 while undecided).
-// Both forms run bit-identically.
 type stepNode struct {
 	res    *Result
 	node   int
@@ -102,7 +53,7 @@ type stepNode struct {
 	idx    int
 }
 
-// StepProgram returns the standalone per-node program in step form.
+// StepProgram returns the standalone per-node program.
 func StepProgram(res *Result, ids []int, idBound int) sim.StepProgram {
 	return func(env *sim.NodeEnv) sim.StepNode {
 		return &stepNode{

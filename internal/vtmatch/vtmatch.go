@@ -84,32 +84,10 @@ func slotsOf(g *graph.Graph, ids EdgeIDs, v int) []slot {
 	return slots
 }
 
-// Program returns the per-node program in goroutine form.
-func Program(res *Result, g *graph.Graph, ids EdgeIDs) sim.Program {
-	return func(ctx *sim.Ctx) {
-		v := ctx.Node()
-		for _, s := range slotsOf(g, ids, v) {
-			target := int64(s.round) // edge id r processed in sim round r (round 0 is the initial model round)
-			if target > ctx.Round() {
-				ctx.SleepUntil(target)
-			}
-			ctx.Send(s.port, proposeMsg{})
-			in := ctx.Deliver()
-			for _, m := range in {
-				if _, ok := m.Msg.(proposeMsg); ok && m.Port == s.port {
-					res.MatchedWith[v] = g.Neighbor(v, s.port)
-					return // matched: sleep forever, silence skips later edges
-				}
-			}
-		}
-	}
-}
-
-// stepNode is the state-machine form of Program: the node wakes once
-// per incident edge in edge-ID order, proposing on that edge's port,
-// and halts as soon as a counter-proposal arrives (both endpoints free
+// stepNode is one node of the matching: the node wakes once per
+// incident edge in edge-ID order, proposing on that edge's port, and
+// halts as soon as a counter-proposal arrives (both endpoints free
 // means both propose, so hearing one on the slot's port means matched).
-// Both forms run bit-identically.
 type stepNode struct {
 	res   *Result
 	g     *graph.Graph
@@ -118,7 +96,7 @@ type stepNode struct {
 	idx   int
 }
 
-// StepProgram returns the per-node program in step form.
+// StepProgram returns the per-node program.
 func StepProgram(res *Result, g *graph.Graph, ids EdgeIDs) sim.StepProgram {
 	return func(env *sim.NodeEnv) sim.StepNode {
 		return &stepNode{res: res, g: g, node: env.ID, slots: slotsOf(g, ids, env.ID)}

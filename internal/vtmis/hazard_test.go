@@ -9,6 +9,20 @@ import (
 	"awakemis/internal/verify"
 )
 
+// procNode runs one straight-line procedure per node on a Machine.
+type procNode struct {
+	sim.Machine
+	env  *sim.NodeEnv
+	body func(env *sim.NodeEnv, m *sim.Machine)
+}
+
+func (n *procNode) Start(out *sim.Outbox) { n.Begin(out, func() { n.body(n.env, &n.Machine) }) }
+
+// procs returns the step program whose every node runs body.
+func procs(body func(env *sim.NodeEnv, m *sim.Machine)) sim.StepProgram {
+	return func(env *sim.NodeEnv) sim.StepNode { return &procNode{env: env, body: body} }
+}
+
 // TestBrokenScheduleFailsWithoutCommSets is the negative control for
 // the whole sleeping model: a "VT-MIS" that drops the communication
 // sets — each node wakes only in its own round — never has two
@@ -21,25 +35,32 @@ func TestBrokenScheduleFailsWithoutCommSets(t *testing.T) {
 	g := graph.Path(6)
 	ids := []int{1, 2, 3, 4, 5, 6}
 	in := make([]bool, g.N())
-	prog := func(ctx *sim.Ctx) {
-		id := ids[ctx.Node()]
+	prog := procs(func(env *sim.NodeEnv, mc *sim.Machine) {
+		id := ids[env.ID]
 		state := misproto.Undecided
-		if id > 1 {
-			ctx.SleepUntil(int64(id - 1)) // wake only in own round (round id-1)
+		// Wake only in the own round (round id-1).
+		attend := func() {
+			mc.Yield(int64(id-1), func(out *sim.Outbox) {
+				out.Broadcast(misproto.StateMsg{State: state})
+			}, func(inbox []sim.Inbound) {
+				for _, m := range inbox {
+					if sm, ok := m.Msg.(misproto.StateMsg); ok && sm.State == misproto.InMIS {
+						state = misproto.NotInMIS
+					}
+				}
+				if state == misproto.Undecided {
+					state = misproto.InMIS
+				}
+				in[env.ID] = state == misproto.InMIS
+			})
 		}
-		ctx.Broadcast(misproto.StateMsg{State: state})
-		inbox := ctx.Deliver()
-		for _, m := range inbox {
-			if sm, ok := m.Msg.(misproto.StateMsg); ok && sm.State == misproto.InMIS {
-				state = misproto.NotInMIS
-			}
+		if id == 1 {
+			attend()
+			return
 		}
-		if state == misproto.Undecided {
-			state = misproto.InMIS
-		}
-		in[ctx.Node()] = state == misproto.InMIS
-	}
-	m, err := sim.Run(g, prog, sim.Config{Seed: 1})
+		mc.Yield(0, nil, func([]sim.Inbound) { attend() })
+	})
+	m, err := sim.RunStep(g, prog, sim.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +85,7 @@ func TestBrokenScheduleFailsWithoutCommSets(t *testing.T) {
 	}
 }
 
-// TestSubProcedureComposition exercises RunSub's entry/exit contract
+// TestSubProcedureComposition exercises RunSubStep's entry/exit contract
 // directly: two consecutive VT-MIS instances on disjoint windows, the
 // second on the residual graph semantics (decided nodes keep silent) —
 // the composability property of §3 in distributed form.
@@ -75,29 +96,34 @@ func TestSubProcedureComposition(t *testing.T) {
 		ids[v] = v + 1
 	}
 	in := make([]bool, g.N())
-	prog := func(ctx *sim.Ctx) {
+	prog := procs(func(env *sim.NodeEnv, mc *sim.Machine) {
+		v := env.ID
 		state := misproto.Undecided
-		ports := make([]int, ctx.Degree())
+		ports := make([]int, env.Degree)
 		for i := range ports {
 			ports[i] = i
 		}
-		// First window: rounds 1..12.
-		RunSub(ctx, 1, ids[ctx.Node()], 12, &state, ports)
-		// Second window: rounds 101..112; decided nodes re-announce,
-		// undecided nodes (there are none for MIS, but the contract
-		// must hold) would decide here. States must be unchanged by a
-		// second pass.
-		before := state
-		RunSub(ctx, 101, ids[ctx.Node()], 12, &state, ports)
-		if state == misproto.Undecided {
-			t.Errorf("node %d undecided after two windows", ctx.Node())
-		}
-		if before == misproto.InMIS && state != misproto.InMIS {
-			t.Errorf("node %d left the MIS across windows", ctx.Node())
-		}
-		in[ctx.Node()] = state == misproto.InMIS
-	}
-	if _, err := sim.Run(g, prog, sim.Config{Seed: 2}); err != nil {
+		mc.Yield(0, nil, func([]sim.Inbound) {
+			// First window: rounds 1..12.
+			RunSubStep(mc, 1, ids[v], 12, &state, ports, func() {
+				// Second window: rounds 101..112; decided nodes
+				// re-announce, undecided nodes (there are none for MIS,
+				// but the contract must hold) would decide here. States
+				// must be unchanged by a second pass.
+				before := state
+				RunSubStep(mc, 101, ids[v], 12, &state, ports, func() {
+					if state == misproto.Undecided {
+						t.Errorf("node %d undecided after two windows", v)
+					}
+					if before == misproto.InMIS && state != misproto.InMIS {
+						t.Errorf("node %d left the MIS across windows", v)
+					}
+					in[v] = state == misproto.InMIS
+				})
+			})
+		})
+	})
+	if _, err := sim.RunStep(g, prog, sim.Config{Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := verify.CheckMIS(g, in); err != nil {

@@ -18,63 +18,19 @@ import (
 	"awakemis/internal/vtree"
 )
 
-// RunSub executes VT-MIS as a sub-procedure over algorithm rounds
+// RunSubStep executes VT-MIS as a sub-procedure of a sim.Machine-driven
+// StepNode (LDT-MIS's final window) over algorithm rounds
 // r ∈ [1, idBound] mapped to simulator rounds base+r-1.
 //
-// Contract: the caller must be in an awake round strictly before base;
-// RunSub ends that round. On return the node has finished the receive
-// step of its last awake round, and the caller must end that round
-// (sleep, advance, or return from the program).
+// Contract: call it at the end of an awake round strictly before base
+// (inside a Machine continuation); k runs inside the final awake
+// round's receive continuation, and must end that round by yielding or
+// returning.
 //
 // id is the node's unique ID in [1, idBound]; state is read and
 // updated in place; ports lists the ports on which participating
 // neighbors are reachable (every participant must use a port list that
 // includes all participating neighbors).
-func RunSub(ctx *sim.Ctx, base int64, id, idBound int, state *misproto.State, ports []int) {
-	rounds := vtree.AwakeRounds(id, idBound)
-	first := true
-	for _, r := range rounds {
-		if *state == misproto.NotInMIS {
-			break // nothing left to learn or announce
-		}
-		target := base + int64(r) - 1
-		if first {
-			ctx.SleepUntil(target)
-			first = false
-		} else if target > ctx.Round() {
-			ctx.SleepUntil(target)
-		}
-		for _, p := range ports {
-			ctx.Send(p, misproto.StateMsg{State: *state})
-		}
-		in := ctx.Deliver()
-		if *state == misproto.Undecided {
-			for _, m := range in {
-				if sm, ok := m.Msg.(misproto.StateMsg); ok && sm.State == misproto.InMIS {
-					*state = misproto.NotInMIS
-					break
-				}
-			}
-		}
-		if r == id && *state == misproto.Undecided {
-			*state = misproto.InMIS
-		}
-	}
-	if first {
-		// The node never woke (possible only for an already-decided
-		// NotInMIS node); put it at base so the caller's exit contract
-		// ("in an awake round") holds.
-		ctx.SleepUntil(base)
-		ctx.Deliver()
-	}
-}
-
-// RunSubStep is RunSub in continuation-passing step form, for callers
-// that compose VT-MIS into a sim.Machine-driven StepNode (LDT-MIS's
-// final window). Entry/exit contract matches RunSub: call it at the end
-// of an awake round strictly before base; k runs inside the final awake
-// round's receive continuation. It attends the same rounds, sends the
-// same messages, and leaves *state identical to RunSub.
 func RunSubStep(m *sim.Machine, base int64, id, idBound int, state *misproto.State, ports []int, k func()) {
 	rounds := vtree.AwakeRounds(id, idBound)
 	var attend func(idx int)
@@ -118,26 +74,12 @@ type Result struct {
 	InMIS []bool
 }
 
-// Program returns the standalone per-node program in goroutine form
-// (all nodes participate on all ports, rounds 1..idBound after the
-// model's initial all-awake round 0).
-func Program(res *Result, ids []int, idBound int) sim.Program {
-	return func(ctx *sim.Ctx) {
-		state := misproto.Undecided
-		ports := make([]int, ctx.Degree())
-		for i := range ports {
-			ports[i] = i
-		}
-		RunSub(ctx, 1, ids[ctx.Node()], idBound, &state, ports)
-		res.InMIS[ctx.Node()] = state == misproto.InMIS
-	}
-}
-
-// stepNode is the state-machine form of Program: the node attends
-// exactly the rounds of its communication set S_id([1,I]) ∪ {id}, and
-// each attended round's broadcast is staged at the previous one (the
-// state it announces can only have changed during attended rounds).
-// Both forms run bit-identically.
+// stepNode is one node of standalone VT-MIS (all nodes participate on
+// all ports, rounds 1..idBound after the model's initial all-awake
+// round 0): the node attends exactly the rounds of its communication
+// set S_id([1,I]) ∪ {id}, and each attended round's broadcast is staged
+// at the previous one (the state it announces can only have changed
+// during attended rounds).
 type stepNode struct {
 	res    *Result
 	node   int
@@ -147,7 +89,7 @@ type stepNode struct {
 	idx    int
 }
 
-// StepProgram returns the standalone per-node program in step form.
+// StepProgram returns the standalone per-node program.
 func StepProgram(res *Result, ids []int, idBound int) sim.StepProgram {
 	return func(env *sim.NodeEnv) sim.StepNode {
 		return &stepNode{

@@ -108,8 +108,8 @@ func RunTaskContext(ctx context.Context, g *Graph, task string, opt Options) (*R
 }
 
 // runTask is the registry dispatch shared by every entry point: it
-// runs the task on eng — in production one lane of a sim.VectorEngine
-// pass — and assembles the verified Report. Lanes of one pass each run
+// runs the task on eng — one lane of a sim.VectorEngine pass — and
+// assembles the verified Report. Lanes of one pass each run
 // this whole pipeline (IDs, tracer, observer, verification) for their
 // own options.
 func runTask(ctx context.Context, g *Graph, task string, opt Options, eng sim.Engine) (*Report, error) {
@@ -148,7 +148,7 @@ func runTask(ctx context.Context, g *Graph, task string, opt Options, eng sim.En
 	}
 	rep := &Report{
 		Task:     task,
-		Engine:   cfg.Engine.Name(),
+		Engine:   string(EngineStepped),
 		Workers:  opt.Workers,
 		Seed:     opt.Seed,
 		Graph:    statsOf(g),
