@@ -84,69 +84,63 @@ func TestStepMatchesGoroutineForm(t *testing.T) {
 // digests their originals froze, on graphs with and without edges.
 func TestGoroutineProgramsAcrossEngines(t *testing.T) {
 	cases := map[string]simtest.Case{
-		"sleep-at-start": twin(
-			func(env *sim.NodeEnv) sim.StepNode {
-				return stepper{wake: func(round int64, _ []sim.Inbound, _ *sim.Outbox) (int64, bool) {
-					return 5, env.ID != 0 || round == 5
+		"sleep-at-start": twin(func(env *sim.NodeEnv) sim.StepNode {
+			return stepper{wake: func(round int64, _ []sim.Inbound, _ *sim.Outbox) (int64, bool) {
+				return 5, env.ID != 0 || round == 5
+			}}
+		}),
+		"halt-immediately": twin(func(env *sim.NodeEnv) sim.StepNode {
+			return stepper{wake: func(round int64, _ []sim.Inbound, _ *sim.Outbox) (int64, bool) {
+				return round + 1, env.ID%2 == 0 || round == 2
+			}}
+		}),
+		"return-mid-compute": twin(func(env *sim.NodeEnv) sim.StepNode {
+			return stepper{wake: func(round int64, _ []sim.Inbound, out *sim.Outbox) (int64, bool) {
+				out.Broadcast(num(7))
+				return 1, round == 1
+			}}
+		}),
+		"clock-skip": twin(func(env *sim.NodeEnv) sim.StepNode {
+			return stepper{wake: func(round int64, _ []sim.Inbound, _ *sim.Outbox) (int64, bool) {
+				return 1_000_000 + int64(env.ID), round > 0
+			}}
+		}),
+		"random-schedule": twin(func(env *sim.NodeEnv) sim.StepNode {
+			rnd, i := env.Rand, 0
+			return stepper{
+				start: func(out *sim.Outbox) { out.Broadcast(num(rnd.Int63n(100))) },
+				wake: func(round int64, in []sim.Inbound, out *sim.Outbox) (int64, bool) {
+					if i == 6 {
+						return 0, true // six broadcast rounds done
+					}
+					next := round + 1
+					if len(in) > 0 && rnd.Int63n(2) == 0 {
+						next += rnd.Int63n(5)
+					}
+					if i++; i < 6 {
+						out.Broadcast(num(rnd.Int63n(100)))
+					}
+					return next, false
+				},
+			}
+		}),
+		"talk-then-listen": twin(func(env *sim.NodeEnv) sim.StepNode {
+			if env.ID < 4 {
+				return stepper{wake: func(round int64, in []sim.Inbound, _ *sim.Outbox) (int64, bool) {
+					if round == 2 && env.ID == 0 && len(in) != 0 {
+						panic("should hear nothing in a skipped round")
+					}
+					return 2, round == 2
 				}}
-			}),
-		"halt-immediately": twin(
-			func(env *sim.NodeEnv) sim.StepNode {
-				return stepper{wake: func(round int64, _ []sim.Inbound, _ *sim.Outbox) (int64, bool) {
-					return round + 1, env.ID%2 == 0 || round == 2
-				}}
-			}),
-		"return-mid-compute": twin(
-			func(env *sim.NodeEnv) sim.StepNode {
-				return stepper{wake: func(round int64, _ []sim.Inbound, out *sim.Outbox) (int64, bool) {
-					out.Broadcast(num(7))
+			}
+			return stepper{
+				start: func(out *sim.Outbox) { out.Broadcast(num(1)) },
+				wake: func(round int64, _ []sim.Inbound, out *sim.Outbox) (int64, bool) {
+					out.Broadcast(num(2))
 					return 1, round == 1
-				}}
-			}),
-		"clock-skip": twin(
-			func(env *sim.NodeEnv) sim.StepNode {
-				return stepper{wake: func(round int64, _ []sim.Inbound, _ *sim.Outbox) (int64, bool) {
-					return 1_000_000 + int64(env.ID), round > 0
-				}}
-			}),
-		"random-schedule": twin(
-			func(env *sim.NodeEnv) sim.StepNode {
-				rnd, i := env.Rand, 0
-				return stepper{
-					start: func(out *sim.Outbox) { out.Broadcast(num(rnd.Int63n(100))) },
-					wake: func(round int64, in []sim.Inbound, out *sim.Outbox) (int64, bool) {
-						if i == 6 {
-							return 0, true // the program returned at the top of this round
-						}
-						next := round + 1
-						if len(in) > 0 && rnd.Int63n(2) == 0 {
-							next += rnd.Int63n(5)
-						}
-						if i++; i < 6 {
-							out.Broadcast(num(rnd.Int63n(100)))
-						}
-						return next, false
-					},
-				}
-			}),
-		"talk-then-listen": twin(
-			func(env *sim.NodeEnv) sim.StepNode {
-				if env.ID < 4 {
-					return stepper{wake: func(round int64, in []sim.Inbound, _ *sim.Outbox) (int64, bool) {
-						if round == 2 && env.ID == 0 && len(in) != 0 {
-							panic("should hear nothing in a skipped round")
-						}
-						return 2, round == 2
-					}}
-				}
-				return stepper{
-					start: func(out *sim.Outbox) { out.Broadcast(num(1)) },
-					wake: func(round int64, _ []sim.Inbound, out *sim.Outbox) (int64, bool) {
-						out.Broadcast(num(2))
-						return 1, round == 1
-					},
-				}
-			}),
+				},
+			}
+		}),
 	}
 	graphs := map[string]*graph.Graph{
 		"cycle": graph.Cycle(10),
@@ -182,7 +176,7 @@ func TestFuzzEquivalence(t *testing.T) {
 					start: send,
 					wake: func(round int64, in []sim.Inbound, out *sim.Outbox) (int64, bool) {
 						if i == 8 {
-							return 0, true // the loop ended at the top of this round
+							return 0, true // eight rounds done
 						}
 						for _, m := range in {
 							sums[v] += int64(m.Msg.(num)) * int64(m.Port+1)

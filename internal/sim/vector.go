@@ -43,12 +43,12 @@ import (
 //
 // Determinism: each lane's per-node RNG streams, routing order, inbox
 // ordering, and metrics are bit-identical to a one-lane run of the
-// same (graph, program, Config) — the per-lane subsequence of the
-// merged pass is exactly the one-lane pass — and so to the digests the
-// tests froze from the retired lockstep reference engine. The merged
-// round loop is allocation-free at steady state (guarded in alloc
-// tests). A failure in any lane aborts the whole merged run; every
-// lane then returns the (deterministic, lowest-packed-index) error.
+// same (graph, program, Config): the
+// per-lane subsequence of the merged pass is exactly the one-lane
+// pass. The merged round loop is allocation-free at steady state
+// (guarded in alloc tests). A failure in any lane aborts the whole
+// merged run; every lane then returns the (deterministic,
+// lowest-packed-index) error.
 type VectorEngine struct {
 	lanes   int
 	workers int
@@ -429,8 +429,8 @@ func (vs *vecState) round(workers int) error {
 // lane's copy of w is awake.
 //
 // Delivery is a counting sort into the round's flat buffer: pass one
-// meters every send in ascending sender order, then port order — the
-// per-message order tracers and metrics are frozen in — and
+// meters every send in ascending sender order, then staging order —
+// the per-message order tracers observe — and
 // counts each receiver's deliveries; a prefix sum over the awake list
 // carves the buffer into per-receiver regions; pass two resolves
 // arrival ports with the shared cursors and fills the regions in the

@@ -43,13 +43,13 @@ var (
 	Lanes   = []int{1, 3}
 )
 
-// DigestFile holds the frozen digests of every CheckForms case run in
+// digestFile holds the frozen digests of every CheckForms case run in
 // a package, keyed by case name and seed.
-const DigestFile = "testdata/form_digests.json"
+const digestFile = "testdata/form_digests.json"
 
-// Digest fingerprints one run: the SHA-256 of its Metrics JSON
+// digest fingerprints one run: the SHA-256 of its Metrics JSON
 // (AwakePerNode included) and of its output JSON.
-type Digest struct {
+type digest struct {
 	Metrics string `json:"metrics"`
 	Output  string `json:"output"`
 }
@@ -57,16 +57,13 @@ type Digest struct {
 // CheckForms runs mk's program on the vector engine at every worker
 // count and lane count, lane i seeded cfg.Seed+i. Each lane's Metrics
 // and output must match the digest frozen under name and its seed in
-// DigestFile; with -update-digests they are recorded instead (and must
+// digestFile; with -update-digests they are recorded instead (and must
 // still agree across the grid). It returns lane 0's Metrics from the
 // first pass.
 func CheckForms(t testing.TB, name string, g *graph.Graph, mk Case, cfg sim.Config) *sim.Metrics {
 	t.Helper()
-	frozen := map[string]Digest{}
-	if !*updateDigests {
-		frozen = readDigests(t)
-	}
-	got := map[string]Digest{}
+	frozen := readDigests(t)
+	got := map[string]digest{}
 	var first *sim.Metrics
 	for _, workers := range Workers {
 		for _, lanes := range Lanes {
@@ -96,7 +93,7 @@ func CheckForms(t testing.TB, name string, g *graph.Graph, mk Case, cfg sim.Conf
 				want, ok := got[k]
 				if !ok && !*updateDigests {
 					if want, ok = frozen[k]; !ok {
-						t.Fatalf("%s: no frozen digest in %s", k, DigestFile)
+						t.Fatalf("%s: no frozen digest in %s", k, digestFile)
 					}
 				}
 				if ok && d != want {
@@ -110,16 +107,16 @@ func CheckForms(t testing.TB, name string, g *graph.Graph, mk Case, cfg sim.Conf
 		}
 	}
 	if *updateDigests {
-		writeDigests(t, got)
+		writeDigests(t, frozen, got)
 	}
 	return first
 }
 
 func key(name string, seed int64) string { return fmt.Sprintf("%s/seed=%d", name, seed) }
 
-func digestOf(t testing.TB, m *sim.Metrics, out any) Digest {
+func digestOf(t testing.TB, m *sim.Metrics, out any) digest {
 	t.Helper()
-	return Digest{Metrics: sha(t, m), Output: sha(t, out)}
+	return digest{Metrics: sha(t, m), Output: sha(t, out)}
 }
 
 func sha(t testing.TB, v any) string {
@@ -132,11 +129,11 @@ func sha(t testing.TB, v any) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// readDigests loads DigestFile; a missing file is empty.
-func readDigests(t testing.TB) map[string]Digest {
+// readDigests loads digestFile; a missing file is empty.
+func readDigests(t testing.TB) map[string]digest {
 	t.Helper()
-	path := filepath.FromSlash(DigestFile)
-	frozen := map[string]Digest{}
+	path := filepath.FromSlash(digestFile)
+	frozen := map[string]digest{}
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return frozen
@@ -150,11 +147,11 @@ func readDigests(t testing.TB) map[string]Digest {
 	return frozen
 }
 
-// writeDigests merges got into DigestFile, keeping the entries other
-// cases froze. The suites using it run their cases sequentially.
-func writeDigests(t testing.TB, got map[string]Digest) {
+// writeDigests rewrites digestFile as frozen updated with got, so the
+// entries other cases froze are kept. The suites using it run their
+// cases sequentially, so frozen is current.
+func writeDigests(t testing.TB, frozen, got map[string]digest) {
 	t.Helper()
-	frozen := readDigests(t)
 	for k, d := range got {
 		frozen[k] = d
 	}
@@ -162,7 +159,7 @@ func writeDigests(t testing.TB, got map[string]Digest) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.FromSlash(DigestFile)
+	path := filepath.FromSlash(digestFile)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
