@@ -166,6 +166,19 @@ func Run(g *graph.Graph, params Params, cfg sim.Config) (*Result, *sim.Metrics, 
 // RunContext is Run under a context; cancellation aborts the
 // simulation at the next round boundary.
 func RunContext(ctx context.Context, g *graph.Graph, params Params, cfg sim.Config) (*Result, *sim.Metrics, error) {
+	sp, res := Prepare(g, params, &cfg)
+	m, err := sim.RunStepContext(ctx, g, sp, cfg)
+	if err != nil {
+		return nil, m, fmt.Errorf("core: %w", err)
+	}
+	return res, m, nil
+}
+
+// Prepare fixes the run's schedule from params and cfg — filling in
+// cfg's default Bandwidth, which the schedule's chunking depends on —
+// and returns Awake-MIS's step program for g and the Result it fills
+// as the run completes.
+func Prepare(g *graph.Graph, params Params, cfg *sim.Config) (sim.StepProgram, *Result) {
 	n := cfg.N
 	if n == 0 {
 		n = g.N()
@@ -179,9 +192,5 @@ func RunContext(ctx context.Context, g *graph.Graph, params Params, cfg sim.Conf
 	params = params.WithDefaults(n)
 	sched := NewSchedule(n, params, cfg.Bandwidth)
 	res := &Result{InMIS: make([]bool, g.N()), Batch: make([]int, g.N())}
-	m, err := sim.RunStepContext(ctx, g, StepProgram(res, sched, params, n), cfg)
-	if err != nil {
-		return nil, m, fmt.Errorf("core: %w", err)
-	}
-	return res, m, nil
+	return StepProgram(res, sched, params, n), res
 }

@@ -52,13 +52,6 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// simConfig applies the harness-wide worker budget to one run's
-// configuration: the run is a one-lane vector pass of that size.
-func (o Options) simConfig(cfg sim.Config) sim.Config {
-	cfg.Engine = sim.NewVectorEngine(1, o.Workers).Lane(0)
-	return cfg
-}
-
 func (o Options) withDefaults() Options {
 	if o.Trials == 0 {
 		o.Trials = 3
@@ -226,7 +219,7 @@ func runE2(o Options, w io.Writer) error {
 	fmt.Fprintln(w, "the paper's round-complexity advantage of this variant inverts; awake stays O(log log n)·log* n.")
 	return sweepMIS(o, w, "awake-mis-round", func(g *graph.Graph, n int, seed int64) (*sim.Metrics, []bool, error) {
 		res, m, err := core.RunContext(o.ctx(), g, core.Params{Variant: ldtmis.VariantRound},
-			o.simConfig(sim.Config{Seed: seed, Strict: true}))
+			sim.Config{Seed: seed, Strict: true, Workers: o.Workers})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -250,7 +243,7 @@ func runE3(o Options, w io.Writer) error {
 			for v := range ids {
 				ids[v] = perm[v] + 1
 			}
-			res, m, err := vtmis.RunContext(o.ctx(), g, ids, idBound, o.simConfig(sim.Config{Seed: seed, Strict: true}))
+			res, m, err := vtmis.RunContext(o.ctx(), g, ids, idBound, sim.Config{Seed: seed, Strict: true, Workers: o.Workers})
 			if err != nil {
 				return err
 			}
@@ -277,7 +270,7 @@ func runE4(o Options, w io.Writer) error {
 			seed := o.Seed + int64(np) + int64(v)
 			g := graph.Cycle(np)
 			ids := rng.IDs40(np, seed)
-			res, m, err := ldtmis.RunContext(o.ctx(), g, ids, np, v, o.simConfig(sim.Config{Seed: seed, N: 1 << 16, Strict: true}))
+			res, m, err := ldtmis.RunContext(o.ctx(), g, ids, np, v, sim.Config{Seed: seed, N: 1 << 16, Strict: true, Workers: o.Workers})
 			if err != nil {
 				return err
 			}
@@ -375,13 +368,13 @@ func runE8(o Options, w io.Writer) error {
 	for _, n := range o.Sizes {
 		seed := o.Seed + int64(n)
 		g := workload(n, seed)
-		lres, lm, err := luby.RunContext(o.ctx(), g, o.simConfig(sim.Config{Seed: seed}))
+		lres, lm, err := luby.RunContext(o.ctx(), g, sim.Config{Seed: seed, Workers: o.Workers})
 		if err != nil {
 			return err
 		}
 		_ = lres
 		tb.Add(n, "luby", lm.AvgAwake(), lm.MaxAwake, float64(lm.MaxAwake)/lm.AvgAwake())
-		ares, am, err := core.RunContext(o.ctx(), g, core.Params{}, o.simConfig(sim.Config{Seed: seed}))
+		ares, am, err := core.RunContext(o.ctx(), g, core.Params{}, sim.Config{Seed: seed, Workers: o.Workers})
 		if err != nil {
 			return err
 		}
@@ -405,7 +398,7 @@ func runE9(o Options, w io.Writer) error {
 			seed := o.Seed + int64(np)
 			g := graph.Path(np)
 			ids := rng.IDs40(np, seed)
-			res, m, err := ldtmis.RunContext(o.ctx(), g, ids, np, v, o.simConfig(sim.Config{Seed: seed, N: 1 << 16, Strict: true}))
+			res, m, err := ldtmis.RunContext(o.ctx(), g, ids, np, v, sim.Config{Seed: seed, N: 1 << 16, Strict: true, Workers: o.Workers})
 			if err != nil {
 				return err
 			}

@@ -138,6 +138,17 @@ func Run(g *graph.Graph, ids []int64, np int, v Variant, cfg sim.Config) (*Resul
 // RunContext is Run under a context; cancellation aborts the
 // simulation at the next round boundary.
 func RunContext(ctx context.Context, g *graph.Graph, ids []int64, np int, v Variant, cfg sim.Config) (*Result, *sim.Metrics, error) {
+	sp, res, err := Prepare(g, ids, np, v)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := sim.RunStepContext(ctx, g, sp, cfg)
+	return res, m, err
+}
+
+// Prepare checks the IDs and returns standalone LDT-MIS's step program
+// for g and the Result it fills as the run completes.
+func Prepare(g *graph.Graph, ids []int64, np int, v Variant) (sim.StepProgram, *Result, error) {
 	if len(ids) != g.N() {
 		return nil, nil, fmt.Errorf("ldtmis: %d ids for %d nodes", len(ids), g.N())
 	}
@@ -149,6 +160,5 @@ func RunContext(ctx context.Context, g *graph.Graph, ids []int64, np int, v Vari
 		seen[id] = true
 	}
 	res := &Result{InMIS: make([]bool, g.N()), NewID: make([]int, g.N())}
-	m, err := sim.RunStepContext(ctx, g, StepProgram(res, ids, np, v), cfg)
-	return res, m, err
+	return StepProgram(res, ids, np, v), res, nil
 }

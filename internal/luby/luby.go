@@ -120,7 +120,14 @@ func Run(g *graph.Graph, cfg sim.Config) (*Result, *sim.Metrics, error) {
 // RunContext is Run under a context; cancellation aborts the
 // simulation at the next round boundary.
 func RunContext(ctx context.Context, g *graph.Graph, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	res := &Result{InMIS: make([]bool, g.N())}
-	m, err := sim.RunStepContext(ctx, g, StepProgram(res), cfg)
+	sp, res := Prepare(g)
+	m, err := sim.RunStepContext(ctx, g, sp, cfg)
 	return res, m, err
+}
+
+// Prepare returns Luby's step program for g and the Result it fills
+// as the run completes.
+func Prepare(g *graph.Graph) (sim.StepProgram, *Result) {
+	res := &Result{InMIS: make([]bool, g.N())}
+	return StepProgram(res), res
 }

@@ -25,10 +25,10 @@ func spinStepProgram() StepProgram {
 
 // cancelEngines is the grid the cancellation contract covers: the
 // one-lane vector engine at several worker counts.
-func cancelEngines() map[string]Engine {
-	return map[string]Engine{
-		"stepped-1": soloEngine{workers: 1},
-		"stepped-4": soloEngine{workers: 4},
+func cancelEngines() map[string]Config {
+	return map[string]Config{
+		"stepped-1": {Workers: 1},
+		"stepped-4": {Workers: 4},
 	}
 }
 
@@ -49,7 +49,7 @@ func panicAtRound(r int64) StepProgram {
 // worker count of the one engine.
 func TestCancelMidRunBothEngines(t *testing.T) {
 	g := graph.Cycle(64)
-	for ename, eng := range cancelEngines() {
+	for ename, base := range cancelEngines() {
 		t.Run(ename+"/step-form", func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
@@ -57,7 +57,7 @@ func TestCancelMidRunBothEngines(t *testing.T) {
 				cancel()
 			}()
 			start := time.Now()
-			m, err := eng.Run(ctx, g, spinStepProgram(), Config{Seed: 1})
+			m, err := RunStepContext(ctx, g, spinStepProgram(), Config{Seed: 1, Workers: base.Workers})
 			elapsed := time.Since(start)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
@@ -79,11 +79,11 @@ func TestCancelMidRunBothEngines(t *testing.T) {
 
 func TestDeadlineExceededBothEngines(t *testing.T) {
 	g := graph.Cycle(32)
-	for ename, eng := range cancelEngines() {
+	for ename, base := range cancelEngines() {
 		t.Run(ename, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 			defer cancel()
-			_, err := eng.Run(ctx, g, spinStepProgram(), Config{Seed: 2})
+			_, err := RunStepContext(ctx, g, spinStepProgram(), Config{Seed: 2, Workers: base.Workers})
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 			}
@@ -95,8 +95,8 @@ func TestPreCancelledContextRunsNothing(t *testing.T) {
 	g := graph.Cycle(8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for ename, eng := range cancelEngines() {
-		m, err := eng.Run(ctx, g, spinStepProgram(), Config{Seed: 3})
+	for ename, base := range cancelEngines() {
+		m, err := RunStepContext(ctx, g, spinStepProgram(), Config{Seed: 3, Workers: base.Workers})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", ename, err)
 		}
@@ -117,7 +117,7 @@ func TestAbortedRunsLeakNoGoroutines(t *testing.T) {
 	g := graph.Cycle(96)
 	baseline := runtime.NumGoroutine()
 
-	for ename, eng := range cancelEngines() {
+	for ename, base := range cancelEngines() {
 		spin, panicky := spinStepProgram(), panicAtRound(50)
 		for i := 0; i < 5; i++ {
 			// Context cancelled mid-round.
@@ -126,18 +126,18 @@ func TestAbortedRunsLeakNoGoroutines(t *testing.T) {
 				time.Sleep(time.Millisecond)
 				cancel()
 			}()
-			if _, err := eng.Run(ctx, g, spin, Config{Seed: int64(i)}); err == nil {
+			if _, err := RunStepContext(ctx, g, spin, Config{Seed: int64(i), Workers: base.Workers}); err == nil {
 				t.Fatalf("%s: cancelled run reported success", ename)
 			}
 			cancel()
 
 			// Per-node panic mid-round.
-			if _, err := eng.Run(context.Background(), g, panicky, Config{Seed: int64(i)}); err == nil {
+			if _, err := RunStepContext(context.Background(), g, panicky, Config{Seed: int64(i), Workers: base.Workers}); err == nil {
 				t.Fatalf("%s: panicking run reported success", ename)
 			}
 
 			// MaxRounds backstop.
-			if _, err := eng.Run(context.Background(), g, spin, Config{Seed: int64(i), MaxRounds: 64}); !errors.Is(err, ErrMaxRounds) {
+			if _, err := RunStepContext(context.Background(), g, spin, Config{Seed: int64(i), MaxRounds: 64, Workers: base.Workers}); !errors.Is(err, ErrMaxRounds) {
 				t.Fatalf("%s: err = %v, want ErrMaxRounds", ename, err)
 			}
 		}
@@ -167,11 +167,11 @@ func TestUncancelledContextHarmless(t *testing.T) {
 	// without one, at every worker count.
 	g := graph.Cycle(16)
 	prog := spinStepProgram()
-	cfg := Config{Seed: 4, MaxRounds: 100}
-	for ename, eng := range cancelEngines() {
-		_, plain := eng.Run(context.Background(), g, prog, cfg)
+	for ename, base := range cancelEngines() {
+		cfg := Config{Seed: 4, MaxRounds: 100, Workers: base.Workers}
+		_, plain := RunStepContext(context.Background(), g, prog, cfg)
 		ctx, cancel := context.WithCancel(context.Background())
-		_, withCtx := eng.Run(ctx, g, prog, cfg)
+		_, withCtx := RunStepContext(ctx, g, prog, cfg)
 		cancel()
 		if !errors.Is(plain, ErrMaxRounds) || !errors.Is(withCtx, ErrMaxRounds) {
 			t.Fatalf("%s: want ErrMaxRounds from both, got %v / %v", ename, plain, withCtx)

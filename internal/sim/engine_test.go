@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -167,7 +166,6 @@ func TestLongSparseScheduleMetrics(t *testing.T) {
 // TestSteppedErrorPaths drives the vector engine's failure paths: each
 // must surface as an error naming the cause, never a crash or hang.
 func TestSteppedErrorPaths(t *testing.T) {
-	eng := soloEngine{workers: 4}
 	g := graph.Path(3)
 
 	t.Run("program-panic", func(t *testing.T) {
@@ -179,7 +177,7 @@ func TestSteppedErrorPaths(t *testing.T) {
 				return 0, true
 			})
 		})
-		_, err := eng.Run(context.Background(), g, sp, Config{Seed: 1})
+		_, err := RunStep(g, sp, Config{Seed: 1, Workers: 4})
 		if err == nil || !strings.Contains(err.Error(), "node 1") {
 			t.Fatalf("err = %v, want node 1 panic", err)
 		}
@@ -192,7 +190,7 @@ func TestSteppedErrorPaths(t *testing.T) {
 				return round + 1, false
 			})
 		})
-		_, err := eng.Run(context.Background(), g, sp, Config{Seed: 1, Strict: true})
+		_, err := RunStep(g, sp, Config{Seed: 1, Strict: true, Workers: 4})
 		var be *BandwidthError
 		if !errors.As(err, &be) {
 			t.Fatalf("err = %v, want BandwidthError", err)
@@ -201,7 +199,7 @@ func TestSteppedErrorPaths(t *testing.T) {
 
 	t.Run("strict-bandwidth-step-form", func(t *testing.T) {
 		sp := StepProgram(func(env *NodeEnv) StepNode { return &bigSender{} })
-		_, err := eng.Run(context.Background(), g, sp, Config{Seed: 1, Strict: true})
+		_, err := RunStep(g, sp, Config{Seed: 1, Strict: true, Workers: 4})
 		var be *BandwidthError
 		if !errors.As(err, &be) {
 			t.Fatalf("err = %v, want BandwidthError", err)
@@ -214,7 +212,7 @@ func TestSteppedErrorPaths(t *testing.T) {
 				return round + 101, false
 			})
 		})
-		_, err := eng.Run(context.Background(), g, sp, Config{Seed: 1, MaxRounds: 500})
+		_, err := RunStep(g, sp, Config{Seed: 1, MaxRounds: 500, Workers: 4})
 		if !errors.Is(err, ErrMaxRounds) {
 			t.Fatalf("err = %v, want ErrMaxRounds", err)
 		}
@@ -222,7 +220,7 @@ func TestSteppedErrorPaths(t *testing.T) {
 
 	t.Run("invalid-port-step-form", func(t *testing.T) {
 		sp := StepProgram(func(env *NodeEnv) StepNode { return &badPortSender{} })
-		_, err := eng.Run(context.Background(), g, sp, Config{Seed: 1})
+		_, err := RunStep(g, sp, Config{Seed: 1, Workers: 4})
 		if err == nil || !strings.Contains(err.Error(), "invalid port") {
 			t.Fatalf("err = %v, want invalid port", err)
 		}
@@ -230,7 +228,7 @@ func TestSteppedErrorPaths(t *testing.T) {
 
 	t.Run("non-monotone-wake", func(t *testing.T) {
 		sp := StepProgram(func(env *NodeEnv) StepNode { return &stuckNode{} })
-		_, err := eng.Run(context.Background(), g, sp, Config{Seed: 1})
+		_, err := RunStep(g, sp, Config{Seed: 1, Workers: 4})
 		if err == nil || !strings.Contains(err.Error(), "not after round") {
 			t.Fatalf("err = %v, want schedule error", err)
 		}

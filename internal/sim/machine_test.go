@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"testing"
 
 	"awakemis/internal/graph"
@@ -37,15 +36,15 @@ func (floodBit) Bits() int { return 1 }
 // the yield's send closure, halt on continuation return.
 func TestMachineDrivesStepNode(t *testing.T) {
 	g := graph.Cycle(8)
-	for ename, eng := range map[string]Engine{
-		"stepped-1": soloEngine{workers: 1},
-		"stepped-2": soloEngine{workers: 2},
+	for ename, base := range map[string]Config{
+		"stepped-1": {Workers: 1},
+		"stepped-2": {Workers: 2},
 	} {
 		got := make([]int, g.N())
 		prog := StepProgram(func(env *NodeEnv) StepNode {
 			return &pingNode{out: &got, id: env.ID}
 		})
-		m, err := eng.Run(context.Background(), g, prog, Config{Seed: 1})
+		m, err := RunStep(g, prog, Config{Seed: 1, Workers: base.Workers})
 		if err != nil {
 			t.Fatalf("%s: %v", ename, err)
 		}

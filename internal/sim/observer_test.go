@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"testing"
 
 	"awakemis/internal/graph"
@@ -45,14 +44,13 @@ func TestObserverTotalsMatchMetrics(t *testing.T) {
 	g := graph.Grid(16, 16)
 	var ref []RoundStat
 	var refName string
-	for name, eng := range map[string]Engine{
-		"stepped-1":  soloEngine{workers: 1},
-		"stepped-4":  soloEngine{workers: 4},
-		"stepped-16": soloEngine{workers: 16},
+	for name, base := range map[string]Config{
+		"stepped-1":  {Workers: 1},
+		"stepped-4":  {Workers: 4},
+		"stepped-16": {Workers: 16},
 	} {
 		obs := &obsLog{}
-		cfg := Config{Seed: 11, Engine: eng, Observer: obs}
-		m, err := eng.Run(context.Background(), g, staggerProg, cfg)
+		m, err := RunStep(g, staggerProg, Config{Seed: 11, Workers: base.Workers, Observer: obs})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

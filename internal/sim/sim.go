@@ -18,15 +18,15 @@
 //
 // # Engine
 //
-// VectorEngine runs R ≥ 1 lanes of a step program on one graph in a
-// single merged pass: struct-of-arrays node state, a wake-time bucket
-// queue, and each round's OnWake calls fanned across a worker pool in
-// deterministic shards. A plain run is one lane (Default). Reports name
-// it "stepped".
+// RunLanes runs R ≥ 1 lanes of step programs on one graph in a single
+// merged pass on the caller's goroutine: struct-of-arrays node state, a
+// wake-time bucket queue, and each round's OnWake calls fanned across a
+// worker pool in deterministic shards. A plain run (RunStep) is one
+// lane. Reports name this engine "stepped".
 //
 // # Determinism contract
 //
-// For a fixed (graph, program, Config.Seed), the vector engine at every
+// For a fixed (graph, program, Config.Seed), the engine at every
 // worker and lane count produces bit-identical results: the same
 // per-node outputs, the same Metrics (including AwakePerNode), and the
 // same message streams. This holds because (a) each node owns a
@@ -75,7 +75,7 @@ type Inbound struct {
 // Config controls a simulation run. The zero value gives sensible
 // defaults: bandwidth 16·⌈log₂N⌉+16 bits, strict CONGEST enforcement
 // off, a generous round cutoff, N equal to the actual node count, and
-// the default engine.
+// one worker per CPU.
 type Config struct {
 	// Seed derives every node's private randomness; identical seeds
 	// replay identical executions at every worker and lane count.
@@ -93,16 +93,16 @@ type Config struct {
 	MaxRounds int64
 	// Tracer, if non-nil, receives execution events (awake rounds and
 	// message routing) as they happen. Tracer methods are called from
-	// the engine goroutine only.
+	// the goroutine running the pass only.
 	Tracer Tracer
 	// Observer, if non-nil, receives one flat RoundStat per executed
 	// round. Unlike Tracer it carries no per-node or per-message detail,
 	// so attaching it costs O(1) per round regardless of n. Observer
-	// methods are called from the engine goroutine only.
+	// methods are called from the goroutine running the pass only.
 	Observer RoundObserver
-	// Engine selects the runtime engine: one lane of a VectorEngine, or
-	// nil for Default().
-	Engine Engine
+	// Workers sizes the pass's worker pool; zero means one per CPU. It
+	// never changes results. All lanes of one pass must agree on it.
+	Workers int
 }
 
 // withDefaults validates cfg against the node count and fills defaults.
@@ -277,23 +277,21 @@ type outMsg struct {
 // RunStep simulates prog on every node of g under cfg and returns the
 // measured complexity metrics. It returns an error if any node program
 // panicked, violated the CONGEST bound under Strict, or the run
-// exceeded MaxRounds. A nil cfg.Engine means Default().
+// exceeded MaxRounds.
 func RunStep(g *graph.Graph, prog StepProgram, cfg Config) (*Metrics, error) {
 	return RunStepContext(context.Background(), g, prog, cfg)
 }
 
-// RunStepContext is RunStep under a context: the engine polls ctx at
-// every round boundary and aborts the simulation — returning an error
-// that wraps ctx.Err() — once it is cancelled or past its deadline. A
-// nil ctx means context.Background().
+// RunStepContext is RunStep under a context, run as a one-lane
+// RunLanes pass: the engine polls ctx at every round boundary and
+// aborts once it is cancelled or past its deadline, returning an error
+// that wraps ctx.Err(). A nil ctx means context.Background().
 func RunStepContext(ctx context.Context, g *graph.Graph, prog StepProgram, cfg Config) (*Metrics, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	ms, err := RunLanes(ctx, g, []StepProgram{prog}, []Config{cfg})
+	if ms == nil {
+		return nil, err
 	}
-	if cfg.Engine == nil {
-		cfg.Engine = Default()
-	}
-	return cfg.Engine.Run(ctx, g, prog, cfg)
+	return ms[0], err
 }
 
 // portFrom returns the index of v in the sorted row nb, searching from

@@ -6,9 +6,9 @@ import (
 )
 
 // StepProgram is the state-machine form of a per-node algorithm: a
-// factory called once per node at run start. Engines drive the returned
-// StepNode round by round with no dedicated goroutine, which is what
-// lets the vector engine scale to millions of nodes.
+// factory called once per node at run start. The engine drives the
+// returned StepNode round by round with no dedicated goroutine, which
+// is what lets it scale to millions of nodes.
 type StepProgram func(env *NodeEnv) StepNode
 
 // NodeEnv is a step node's static view of the network, fixed for the

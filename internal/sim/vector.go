@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,190 +12,59 @@ import (
 	"awakemis/internal/rng"
 )
 
-// VectorEngine executes R ≥ 1 independent replications ("lanes") of
-// a step program on one shared graph in a single merged pass: one wake
-// queue, one adjacency traversal per round, one worker pool. Lanes
-// differ only in their Config (seed, tracer, observer); the graph and
-// program form are shared, which is exactly the shape of a study
-// cell's trial axis. A plain run is one lane (see Default).
+// RunLanes executes R = len(progs) ≥ 1 independent replications
+// ("lanes") of step programs on one shared graph in a single merged
+// pass — one wake queue, one adjacency traversal per round, one worker
+// pool — and returns each lane's Metrics. Lane t runs progs[t] under
+// cfgs[t]; lanes differ only in seed, program state, tracer and
+// observer, which is exactly the shape of a study cell's trial axis. A
+// plain run is one lane (RunStep).
 //
-// The engine is a rendezvous coordinator: the caller obtains one
-// Engine handle per lane with Lane(i) and runs each lane through the
-// ordinary simulation entry points (sim.RunStepContext via Config.
-// Engine). Each handle's Run blocks until every lane has arrived; the
-// last arrival drives the merged simulation inline and the others
-// return its per-lane results. With one lane the only arrival drives
-// at once, on the caller's goroutine. Algorithm packages therefore
-// need no lane awareness: they construct their per-lane programs as
-// for any run, and the handle intercepts execution at the engine
-// boundary.
+// The lanes must agree on N, Bandwidth, Strict, MaxRounds and Workers
+// once defaults are filled; these are checked, along with the packed-id
+// range, before any program is called. The round loop runs on the
+// caller's goroutine, with node steps fanned out to the worker pool;
+// every lane's Tracer and Observer are called from the loop, lane by
+// lane within each merged round. RunLanes polls ctx at every round
+// boundary and aborts once it is cancelled or past its deadline,
+// returning an error that wraps ctx.Err(). A nil ctx means
+// context.Background().
 //
-// State is struct-of-arrays widened by a trial lane: every per-node
-// array is indexed by the packed id p = v·R + t (node-major,
-// lane-minor), so one sorted awake list interleaves all lanes and
-// routing walks each CSR row once per sender regardless of how many
-// lanes that sender is awake in. The galloping reverse-port cursors
-// stay per-receiver (size n, shared by all lanes): arrival ports
-// depend only on the (v, w) edge, and the packed order keeps senders
-// ascending in v across lanes, so the one-lane cursor invariant
-// carries over unchanged.
-//
-// Determinism: each lane's per-node RNG streams, routing order, inbox
-// ordering, and metrics are bit-identical to a one-lane run of the
-// same (graph, program, Config): the
-// per-lane subsequence of the merged pass is exactly the one-lane
-// pass. The merged round loop is allocation-free at steady state
-// (guarded in alloc tests). A failure in any lane aborts the whole
-// merged run; every lane then returns the (deterministic,
-// lowest-packed-index) error.
-type VectorEngine struct {
-	lanes   int
-	workers int
-
-	mu      sync.Mutex
-	g       *graph.Graph
-	progs   []StepProgram
-	cfgs    []Config
-	regs    []bool
-	arrived int
-	aborted error
-	started bool
-
-	done chan struct{} // closed once results (or an abort) are published
-	ms   []*Metrics
-	err  error
-}
-
-// NewVectorEngine returns a coordinator for `lanes` replications
-// sharing one worker pool of the given size (0 means one worker per
-// CPU). Every lane must eventually call its handle's Run (or the
-// caller must Abort), or the arrived lanes block forever.
-func NewVectorEngine(lanes, workers int) *VectorEngine {
+// Each lane's per-node RNG streams, routing order, inbox ordering and
+// Metrics are bit-identical to a one-lane run of the same (graph,
+// program, Config): the per-lane subsequence of the merged pass is
+// exactly the one-lane pass. A failure in any lane aborts the whole
+// pass with the deterministic lowest-packed-index error; the returned
+// Metrics then hold how far each lane got (nil if the pass never
+// started).
+func RunLanes(ctx context.Context, g *graph.Graph, progs []StepProgram, cfgs []Config) ([]*Metrics, error) {
+	if len(progs) == 0 || len(progs) != len(cfgs) {
+		return nil, fmt.Errorf("sim: RunLanes: %d programs for %d configs (need at least one lane)", len(progs), len(cfgs))
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	filled := make([]Config, len(cfgs))
+	for t := range cfgs {
+		cfg, err := cfgs[t].withDefaults(g.N())
+		if err != nil {
+			return nil, err
+		}
+		filled[t] = cfg
+		if base := filled[0]; cfg.N != base.N || cfg.Bandwidth != base.Bandwidth || cfg.Strict != base.Strict ||
+			cfg.MaxRounds != base.MaxRounds || cfg.Workers != base.Workers {
+			return nil, fmt.Errorf("sim: lane %d config diverges from lane 0 (N/Bandwidth/Strict/MaxRounds/Workers must agree)", t)
+		}
+	}
+	if int64(g.N())*int64(len(progs)) > math.MaxInt32 {
+		// Routing scratch holds packed ids as int32.
+		return nil, fmt.Errorf("sim: %d nodes x %d lanes exceeds the packed-id range", g.N(), len(progs))
+	}
+	workers := filled[0].Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if lanes < 1 {
-		lanes = 1
-	}
-	return &VectorEngine{
-		lanes:   lanes,
-		workers: workers,
-		progs:   make([]StepProgram, lanes),
-		cfgs:    make([]Config, lanes),
-		regs:    make([]bool, lanes),
-		done:    make(chan struct{}),
-	}
-}
-
-// Lane returns lane i's Engine handle.
-func (ve *VectorEngine) Lane(i int) Engine { return &laneEngine{ve: ve, lane: i} }
-
-// Abort unblocks lanes waiting at the rendezvous when another lane
-// failed before reaching its engine call (so its Run will never
-// arrive). It is a no-op once the merged run has started or a prior
-// abort was recorded.
-func (ve *VectorEngine) Abort(err error) {
-	if err == nil {
-		err = errors.New("sim: vector: aborted")
-	}
-	ve.mu.Lock()
-	defer ve.mu.Unlock()
-	if ve.started || ve.aborted != nil {
-		return
-	}
-	ve.aborted = err
-	ve.err = err
-	close(ve.done)
-}
-
-// laneEngine is one lane's Engine handle.
-type laneEngine struct {
-	ve   *VectorEngine
-	lane int
-}
-
-// Run implements Engine: register the lane's program and config, and
-// either drive the merged pass (last arrival) or wait for its result.
-func (le *laneEngine) Run(ctx context.Context, g *graph.Graph, sp StepProgram, cfg Config) (*Metrics, error) {
-	ve, lane := le.ve, le.lane
-	cfg, err := cfg.withDefaults(g.N())
-	if err != nil {
-		ve.Abort(err)
-		return nil, err
-	}
-
-	ve.mu.Lock()
-	if ve.aborted != nil {
-		err := ve.aborted
-		ve.mu.Unlock()
-		return nil, err
-	}
-	if lane < 0 || lane >= ve.lanes || ve.regs[lane] {
-		ve.mu.Unlock()
-		err := fmt.Errorf("sim: vector: invalid or duplicate lane %d of %d", lane, ve.lanes)
-		ve.Abort(err)
-		return nil, err
-	}
-	if ve.g == nil {
-		ve.g = g
-	} else if ve.g != g {
-		ve.mu.Unlock()
-		err := errors.New("sim: vector: all lanes must share one graph")
-		ve.Abort(err)
-		return nil, err
-	}
-	ve.progs[lane], ve.cfgs[lane], ve.regs[lane] = sp, cfg, true
-	ve.arrived++
-	last := ve.arrived == ve.lanes
-	if last {
-		ve.started = true
-	}
-	ve.mu.Unlock()
-
-	if last {
-		ms, err := ve.drive(ctx)
-		ve.mu.Lock()
-		ve.ms, ve.err = ms, err
-		ve.mu.Unlock()
-		close(ve.done)
-	} else {
-		select {
-		case <-ve.done:
-		case <-ctx.Done():
-			// The driver shares the run's context (all lanes derive from
-			// one parent) and aborts at its next round boundary; returning
-			// here without its result is safe — results are read under mu
-			// after done only.
-			return nil, fmt.Errorf("sim: aborted: %w", ctx.Err())
-		}
-	}
-
-	// A failed run still reports each lane's partial metrics (how far
-	// it got), except when it never started.
-	ve.mu.Lock()
-	defer ve.mu.Unlock()
-	if ve.ms == nil {
-		return nil, ve.err
-	}
-	return ve.ms[lane], ve.err
-}
-
-// drive validates cross-lane config agreement, builds the merged
-// state, and runs rounds until every lane's every node halted. On
-// failure it returns the lanes' partial metrics with the error.
-func (ve *VectorEngine) drive(ctx context.Context) ([]*Metrics, error) {
-	base := ve.cfgs[0]
-	for t, cfg := range ve.cfgs {
-		if cfg.N != base.N || cfg.Bandwidth != base.Bandwidth ||
-			cfg.Strict != base.Strict || cfg.MaxRounds != base.MaxRounds {
-			return nil, fmt.Errorf("sim: vector: lane %d config diverges from lane 0 (N/Bandwidth/Strict/MaxRounds must agree)", t)
-		}
-	}
-	if int64(ve.g.N())*int64(ve.lanes) > math.MaxInt32 {
-		// Routing scratch holds packed ids as int32.
-		return nil, fmt.Errorf("sim: vector: %d nodes x %d lanes exceeds the packed-id range", ve.g.N(), ve.lanes)
-	}
-	vs, err := newVecState(ve.g, ve.progs, ve.cfgs, ve.workers)
+	vs, err := newVecState(g, progs, filled, workers)
 	if err != nil {
 		return vs.ms, err
 	}
@@ -207,15 +75,23 @@ func (ve *VectorEngine) drive(ctx context.Context) ([]*Metrics, error) {
 		if err := ctx.Err(); err != nil {
 			return vs.ms, fmt.Errorf("sim: aborted after round %d: %w", vs.maxRoundSeen(), err)
 		}
-		if err := vs.round(ve.workers); err != nil {
+		if err := vs.round(workers); err != nil {
 			return vs.ms, err
 		}
 	}
 	return vs.ms, nil
 }
 
-// vecState is the merged run's struct-of-arrays state. All per-node
-// arrays are indexed by the packed id p = v·R + t.
+// vecState is the merged run's struct-of-arrays state, widened by a
+// trial lane: every per-node array is indexed by the packed id
+// p = v·R + t (node-major, lane-minor), so one sorted awake list
+// interleaves all lanes and routing walks each CSR row once per sender
+// regardless of how many lanes that sender is awake in. The galloping
+// reverse-port cursors stay per-receiver (size n, shared by all lanes):
+// arrival ports depend only on the (v, w) edge, and the packed order
+// keeps senders ascending in v across lanes, so the one-lane cursor
+// invariant carries over unchanged. The round loop is allocation-free
+// at steady state (guarded in alloc tests).
 type vecState struct {
 	g    *graph.Graph
 	R    int

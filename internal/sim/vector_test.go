@@ -5,11 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
+	"strings"
 	"testing"
 
 	"awakemis/internal/graph"
@@ -54,23 +53,13 @@ func (r *statRecorder) ObserveRound(st RoundStat) {
 	r.stats = append(r.stats, st)
 }
 
-// runVectorLanes drives a vectorized run the way the facade does: one
-// goroutine per lane, each entering through its lane handle.
-func runVectorLanes(t *testing.T, g *graph.Graph, progs []StepProgram, cfgs []Config, workers int) ([]*Metrics, []error) {
-	t.Helper()
-	ve := NewVectorEngine(len(progs), workers)
-	ms := make([]*Metrics, len(progs))
-	errs := make([]error, len(progs))
-	var wg sync.WaitGroup
-	for i := range progs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ms[i], errs[i] = ve.Lane(i).Run(context.Background(), g, progs[i], cfgs[i])
-		}(i)
+// runVectorLanes runs progs as the lanes of one merged pass at the
+// given worker count.
+func runVectorLanes(g *graph.Graph, progs []StepProgram, cfgs []Config, workers int) ([]*Metrics, error) {
+	for i := range cfgs {
+		cfgs[i].Workers = workers
 	}
-	wg.Wait()
-	return ms, errs
+	return RunLanes(context.Background(), g, progs, cfgs)
 }
 
 // TestVectorMatchesScalar is the vector engine's determinism contract:
@@ -91,8 +80,7 @@ func TestVectorMatchesScalar(t *testing.T) {
 			var wantObs [][]RoundStat
 			for _, seed := range seeds {
 				rec := &statRecorder{}
-				m, err := soloEngine{workers: 1}.Run(context.Background(), g, vecProbe,
-					Config{Seed: seed, Observer: rec})
+				m, err := RunStep(g, vecProbe, Config{Seed: seed, Workers: 1, Observer: rec})
 				if err != nil {
 					t.Fatalf("%s: one-lane seed %d: %v", gname, seed, err)
 				}
@@ -108,11 +96,11 @@ func TestVectorMatchesScalar(t *testing.T) {
 				recs[i] = &statRecorder{}
 				cfgs[i] = Config{Seed: seed, Observer: recs[i]}
 			}
-			ms, errs := runVectorLanes(t, g, progs, cfgs, workers)
+			ms, err := runVectorLanes(g, progs, cfgs, workers)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", gname, workers, err)
+			}
 			for i := range seeds {
-				if errs[i] != nil {
-					t.Fatalf("%s workers=%d lane %d: %v", gname, workers, i, errs[i])
-				}
 				if !reflect.DeepEqual(ms[i], wantMS[i]) {
 					t.Errorf("%s workers=%d lane %d metrics diverge:\nmerged %+v\none-lane %+v",
 						gname, workers, i, ms[i], wantMS[i])
@@ -145,9 +133,9 @@ func metricsDigest(t *testing.T, m *Metrics) string {
 func TestVectorSingleLane(t *testing.T) {
 	g := graph.Cycle(32)
 	for _, workers := range []int{1, 4} {
-		ms, errs := runVectorLanes(t, g, []StepProgram{vecProbe}, []Config{{Seed: 11}}, workers)
-		if errs[0] != nil {
-			t.Fatal(errs[0])
+		ms, err := runVectorLanes(g, []StepProgram{vecProbe}, []Config{{Seed: 11}}, workers)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if d := metricsDigest(t, ms[0]); d != singleLaneDigest {
 			t.Errorf("workers=%d: metrics digest %s, frozen %s", workers, d, singleLaneDigest)
@@ -156,7 +144,8 @@ func TestVectorSingleLane(t *testing.T) {
 }
 
 // TestVectorLaneFailure: one lane panicking fails the whole merged run
-// deterministically — every lane surfaces the same error.
+// with the failing node's error, and every lane still reports how far
+// it got.
 func TestVectorLaneFailure(t *testing.T) {
 	g := graph.Cycle(8)
 	boom := StepProgram(func(env *NodeEnv) StepNode {
@@ -172,13 +161,13 @@ func TestVectorLaneFailure(t *testing.T) {
 			return round + 1, round >= 10
 		})
 	})
-	ms, errs := runVectorLanes(t, g, []StepProgram{steady, boom}, []Config{{Seed: 1}, {Seed: 2}}, 2)
-	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("lane %d: expected the merged run to fail, got metrics %+v", i, ms[i])
-		}
-		if errs[0].Error() != err.Error() {
-			t.Fatalf("lanes disagree on the failure: %v vs %v", errs[0], err)
+	ms, err := runVectorLanes(g, []StepProgram{steady, boom}, []Config{{Seed: 1}, {Seed: 2}}, 2)
+	if err == nil || !strings.Contains(err.Error(), "node 3") || !strings.Contains(err.Error(), "lane blew up") {
+		t.Fatalf("err = %v, want the merged run to fail at node 3", err)
+	}
+	for i, m := range ms {
+		if m == nil || m.Rounds != 3 {
+			t.Fatalf("lane %d partial metrics %+v, want 3 rounds", i, m)
 		}
 	}
 }
@@ -192,25 +181,39 @@ func (f stepFunc) OnWake(round int64, inbox []Inbound, out *Outbox) (int64, bool
 	return f(round, inbox, out)
 }
 
-// TestVectorAbortUnblocksLanes: when a lane errors before reaching its
-// engine call, Abort releases the lanes already waiting at the
-// rendezvous with the abort error instead of deadlocking.
-func TestVectorAbortUnblocksLanes(t *testing.T) {
+// TestRunLanesArgumentChecks: every malformed lane set is rejected
+// before any lane's program is called.
+func TestRunLanesArgumentChecks(t *testing.T) {
 	g := graph.Cycle(8)
-	ve := NewVectorEngine(2, 1)
-	cause := errors.New("lane 1 never arrived")
-	done := make(chan error, 1)
-	go func() {
-		_, err := ve.Lane(0).Run(context.Background(), g, vecProbe, Config{Seed: 1})
-		done <- err
-	}()
-	ve.Abort(cause)
-	if err := <-done; !errors.Is(err, cause) {
-		t.Fatalf("waiting lane returned %v, want %v", err, cause)
+	called := false
+	prog := StepProgram(func(env *NodeEnv) StepNode {
+		called = true
+		return vecProbe(env)
+	})
+	for _, tc := range []struct {
+		name  string
+		progs []StepProgram
+		cfgs  []Config
+	}{
+		{"no-lanes", nil, nil},
+		{"len-mismatch", []StepProgram{prog, prog}, []Config{{}}},
+		{"N-too-small", []StepProgram{prog}, []Config{{N: 4}}},
+		{"N", []StepProgram{prog, prog}, []Config{{N: 16}, {N: 32}}},
+		{"Bandwidth", []StepProgram{prog, prog}, []Config{{Bandwidth: 40}, {Bandwidth: 41}}},
+		{"Strict", []StepProgram{prog, prog}, []Config{{Strict: true}, {}}},
+		{"MaxRounds", []StepProgram{prog, prog}, []Config{{}, {MaxRounds: 100}}},
+		{"Workers", []StepProgram{prog, prog, prog}, []Config{{Workers: 1}, {Workers: 1}, {Workers: 2}}},
+	} {
+		called = false
+		ms, err := RunLanes(context.Background(), g, tc.progs, tc.cfgs)
+		if err == nil || ms != nil || called {
+			t.Errorf("%s: err = %v, metrics %v, program called %v; want an error before any program runs", tc.name, err, ms, called)
+		}
 	}
-	// Lanes arriving after the abort see it too.
-	if _, err := ve.Lane(1).Run(context.Background(), g, vecProbe, Config{Seed: 2}); !errors.Is(err, cause) {
-		t.Fatalf("late lane returned %v, want %v", err, cause)
+	// Agreement is judged after defaults are filled: an explicit N equal
+	// to the node count agrees with the zero default.
+	if _, err := RunLanes(context.Background(), g, []StepProgram{prog, prog}, []Config{{}, {N: 8, Seed: 1}}); err != nil {
+		t.Fatalf("defaulted lanes disagree: %v", err)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"testing"
 
 	"awakemis/internal/graph"
@@ -67,27 +66,20 @@ func CheckForms(t testing.TB, name string, g *graph.Graph, mk Case, cfg sim.Conf
 	var first *sim.Metrics
 	for _, workers := range Workers {
 		for _, lanes := range Lanes {
-			ve := sim.NewVectorEngine(lanes, workers)
-			ms := make([]*sim.Metrics, lanes)
+			progs := make([]sim.StepProgram, lanes)
 			outs := make([]func() any, lanes)
-			errs := make([]error, lanes)
-			var wg sync.WaitGroup
+			cfgs := make([]sim.Config, lanes)
 			for i := range lanes {
-				sp, out := mk()
-				outs[i] = out
-				c := cfg
-				c.Seed += int64(i)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					ms[i], errs[i] = ve.Lane(i).Run(context.Background(), g, sp, c)
-				}()
+				progs[i], outs[i] = mk()
+				cfgs[i] = cfg
+				cfgs[i].Seed += int64(i)
+				cfgs[i].Workers = workers
 			}
-			wg.Wait()
+			ms, err := sim.RunLanes(context.Background(), g, progs, cfgs)
+			if err != nil {
+				t.Fatalf("vector workers=%d lanes=%d: %v", workers, lanes, err)
+			}
 			for i := range lanes {
-				if errs[i] != nil {
-					t.Fatalf("vector workers=%d lanes=%d lane %d: %v", workers, lanes, i, errs[i])
-				}
 				k := key(name, cfg.Seed+int64(i))
 				d := digestOf(t, ms[i], read(outs[i]))
 				want, ok := got[k]

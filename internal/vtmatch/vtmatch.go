@@ -136,6 +136,17 @@ func Run(g *graph.Graph, ids EdgeIDs, bound int, cfg sim.Config) (*Result, *sim.
 // RunContext is Run under a context; cancellation aborts the
 // simulation at the next round boundary.
 func RunContext(ctx context.Context, g *graph.Graph, ids EdgeIDs, bound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
+	sp, res, err := Prepare(g, ids, bound)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := sim.RunStepContext(ctx, g, sp, cfg)
+	return res, m, err
+}
+
+// Prepare checks the edge IDs and returns the matching's step program
+// for g and the Result it fills as the run completes.
+func Prepare(g *graph.Graph, ids EdgeIDs, bound int) (sim.StepProgram, *Result, error) {
 	if err := ids.Check(g, bound); err != nil {
 		return nil, nil, err
 	}
@@ -143,8 +154,7 @@ func RunContext(ctx context.Context, g *graph.Graph, ids EdgeIDs, bound int, cfg
 	for v := range res.MatchedWith {
 		res.MatchedWith[v] = -1
 	}
-	m, err := sim.RunStepContext(ctx, g, StepProgram(res, g, ids), cfg)
-	return res, m, err
+	return StepProgram(res, g, ids), res, nil
 }
 
 // GreedyReference computes the sequential greedy matching over the

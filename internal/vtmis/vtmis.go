@@ -142,12 +142,22 @@ func Run(g *graph.Graph, ids []int, idBound int, cfg sim.Config) (*Result, *sim.
 // RunContext is Run under a context; cancellation aborts the
 // simulation at the next round boundary.
 func RunContext(ctx context.Context, g *graph.Graph, ids []int, idBound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
+	sp, res, err := Prepare(g, ids, idBound)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := sim.RunStepContext(ctx, g, sp, cfg)
+	return res, m, err
+}
+
+// Prepare checks the IDs and returns the step program for g and the
+// Result it fills as the run completes.
+func Prepare(g *graph.Graph, ids []int, idBound int) (sim.StepProgram, *Result, error) {
 	if err := CheckIDs(g.N(), ids, idBound); err != nil {
 		return nil, nil, err
 	}
 	res := &Result{InMIS: make([]bool, g.N())}
-	m, err := sim.RunStepContext(ctx, g, StepProgram(res, ids, idBound), cfg)
-	return res, m, err
+	return StepProgram(res, ids, idBound), res, nil
 }
 
 // CheckIDs validates that ids are unique and within [1, idBound].

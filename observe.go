@@ -28,9 +28,10 @@ type RoundStat struct {
 }
 
 // RoundObserver receives one RoundStat per executed round, in round
-// order, from the engine goroutine. Implementations should be cheap:
-// they run once per round on the engine's hot path (though never per
-// node or per message — cost is independent of graph size).
+// order, on the goroutine that called Run; the lanes of a merged pass
+// are observed in turn within each round. Implementations should be
+// cheap: they run once per round on the engine's hot path (though
+// never per node or per message — cost is independent of graph size).
 type RoundObserver interface {
 	ObserveRound(RoundStat)
 }

@@ -3,7 +3,7 @@ package awakemis
 import (
 	"context"
 	"fmt"
-	"sync"
+	"time"
 
 	"awakemis/internal/sim"
 )
@@ -53,7 +53,9 @@ type Trial struct {
 // Graph.Seed each trial's graph derives from its own seed, so the
 // trials run as R one-lane passes. Either way each lane's Report is
 // bit-identical to a plain Run of the same per-trial Spec, WallMS
-// aside. A failure in any trial fails the whole call.
+// aside. Every trial is prepared, verified and reported on the calling
+// goroutine, in trial order, around one direct engine call per pass. A
+// failure in any trial fails the whole call.
 func WithVectorizedTrials(trials []Trial, out []*Report) RunOption {
 	return func(ro *runOptions) { ro.trials, ro.out = trials, out }
 }
@@ -106,63 +108,51 @@ func Run(ctx context.Context, spec Spec, opts ...RunOption) (*Report, error) {
 		lanes = 1
 	}
 	for lo := 0; lo < len(specs); lo += lanes {
-		if err := runLanes(ctx, specs[lo:lo+lanes], workers, out[lo:lo+lanes]); err != nil {
+		batch := specs[lo : lo+lanes]
+		g, err := batch[0].Graph.build(batch[0].Options.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("awakemis: spec %s: %w", batch[0].label(), err)
+		}
+		if err := runLanes(ctx, g, batch, workers, out[lo:lo+lanes]); err != nil {
 			return nil, err
 		}
 	}
 	return out[0], nil
 }
 
-// runLanes builds the graph the specs share and runs them as the lanes
-// of one sim.VectorEngine pass, filling out. Each lane runs the whole
-// task pipeline — IDs, tracer, observer, verification, Report assembly
-// — against its own lane handle. Lane 0 runs on the caller's
-// goroutine, so a one-lane pass needs no other goroutine at all.
-func runLanes(ctx context.Context, specs []Spec, workers int, out []*Report) error {
-	g, err := specs[0].Graph.build(specs[0].Options.Seed)
-	if err != nil {
-		return fmt.Errorf("awakemis: spec %s: %w", specs[0].label(), err)
-	}
-	ve := sim.NewVectorEngine(len(specs), workers)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, len(specs))
-	fail := func(i int, err error) {
-		errs[i] = err
-		// The lane may fail before reaching its engine call (it would
-		// never arrive at the rendezvous): release the others.
-		ve.Abort(err)
-		cancel()
-	}
-	lane := func(i int) {
-		// Node-program panics are engine errors already; this catches
-		// the rest of the task pipeline, which lanes 1.. run on their
-		// own goroutines.
-		defer func() {
-			if r := recover(); r != nil {
-				fail(i, fmt.Errorf("awakemis: %s: panic: %v", specs[i].label(), r))
-			}
-		}()
-		rep, err := runTask(ctx, g, specs[i].Task, specs[i].Options, ve.Lane(i))
-		if err != nil {
-			fail(i, err)
-			return
+// runLanes runs specs, which share g, as the lanes of one sim.RunLanes
+// pass and fills out. It works on the caller's goroutine: it prepares
+// every lane (IDs, tracer, observer), makes the one merged pass, then
+// verifies each lane and assembles its Report, in lane order. A panic
+// anywhere in that pipeline becomes an error naming the spec whose step
+// was running (lane 0's during the pass; node-program panics are
+// errors of the pass already).
+func runLanes(ctx context.Context, g *Graph, specs []Spec, workers int, out []*Report) (err error) {
+	cur := 0
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("awakemis: %s: panic: %v", specs[cur].label(), r)
 		}
-		rep.Name = specs[i].Name
-		out[i] = rep
+	}()
+	start := time.Now()
+	lanes := make([]*lane, len(specs))
+	progs := make([]sim.StepProgram, len(specs))
+	cfgs := make([]sim.Config, len(specs))
+	for i, spec := range specs {
+		cur = i
+		if lanes[i], err = newLane(g, spec, workers); err != nil {
+			return err
+		}
+		progs[i], cfgs[i] = lanes[i].prog, lanes[i].cfg
 	}
-	var wg sync.WaitGroup
-	for i := 1; i < len(specs); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			lane(i)
-		}(i)
+	cur = 0
+	ms, err := sim.RunLanes(ctx, g.internal(), progs, cfgs)
+	if err != nil {
+		return fmt.Errorf("awakemis: %s: %w", specs[0].Task, err)
 	}
-	lane(0)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	for i, l := range lanes {
+		cur = i
+		if out[i], err = l.report(g, ms[i], start); err != nil {
 			return err
 		}
 	}

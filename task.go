@@ -13,7 +13,7 @@ import (
 )
 
 // Task is one registered problem: a name, an ID-assignment scheme, a
-// run function, and an output verifier. Every public entry point —
+// prepare function, and an output verifier. Every public entry point —
 // RunTask, Run, RunMIS, Runner.RunBatch, and the CLIs — dispatches
 // through the task registry, so adding a problem means registering a
 // Task, not editing the facade.
@@ -32,8 +32,10 @@ type Task struct {
 	// rank orders the canonical task listing: the paper's MIS algorithms
 	// first, then the §7 extensions.
 	rank int
-	// run executes the task; cfg is already resolved from opt.
-	run func(ctx context.Context, g *Graph, opt Options, cfg sim.Config) (Output, *sim.Metrics, error)
+	// prepare builds the task's step program for g and a reader for the
+	// Output the run records; cfg arrives resolved from opt and may be
+	// adjusted (a task-specific default bandwidth, say).
+	prepare func(g *Graph, opt Options, cfg *sim.Config) (sim.StepProgram, func() Output, error)
 	// verify checks the task's output against its oracle.
 	verify func(g *Graph, out Output) error
 }
@@ -47,7 +49,7 @@ var taskRegistry = map[string]*Task{}
 // error, caught at startup.
 func registerTask(t Task) {
 	switch {
-	case t.Name == "" || t.Kind == "" || t.run == nil || t.verify == nil:
+	case t.Name == "" || t.Kind == "" || t.prepare == nil || t.verify == nil:
 		panic(fmt.Sprintf("awakemis: incomplete task registration %+v", t))
 	case taskRegistry[t.Name] != nil:
 		panic("awakemis: duplicate task " + t.Name)
@@ -104,62 +106,83 @@ func RunTaskContext(ctx context.Context, g *Graph, task string, opt Options) (*R
 	if err := opt.checkEngine(); err != nil {
 		return nil, fmt.Errorf("awakemis: %w options: %s", ErrInvalidSpec, err)
 	}
-	return runTask(ctx, g, task, opt, sim.NewVectorEngine(1, opt.Workers).Lane(0))
+	out := make([]*Report, 1)
+	if err := runLanes(ctx, g, []Spec{{Task: task, Options: opt}}, opt.Workers, out); err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
-// runTask is the registry dispatch shared by every entry point: it
-// runs the task on eng — one lane of a sim.VectorEngine pass — and
-// assembles the verified Report. Lanes of one pass each run
-// this whole pipeline (IDs, tracer, observer, verification) for their
-// own options.
-func runTask(ctx context.Context, g *Graph, task string, opt Options, eng sim.Engine) (*Report, error) {
-	cfg := sim.Config{
+// lane is one spec's share of a merged pass: the task, program and
+// config it contributes, and what its Report needs afterwards.
+type lane struct {
+	spec      Spec
+	task      *Task
+	prog      sim.StepProgram
+	cfg       sim.Config
+	output    func() Output
+	collector *trace.Collector
+	acc       *roundSummaryAcc
+}
+
+// newLane is the registry dispatch shared by every entry point: it
+// resolves spec's task and sim.Config — the pass's worker count, the
+// spec's tracer and observer — and prepares the task's program on g.
+func newLane(g *Graph, spec Spec, workers int) (*lane, error) {
+	opt := spec.Options
+	t, ok := taskRegistry[spec.Task]
+	if !ok {
+		return nil, fmt.Errorf("awakemis: unknown task %q (have %s)",
+			spec.Task, strings.Join(TaskNames(), "|"))
+	}
+	l := &lane{spec: spec, task: t, cfg: sim.Config{
 		Seed:      opt.Seed,
 		N:         opt.N,
 		Bandwidth: opt.Bandwidth,
 		Strict:    opt.Strict,
 		MaxRounds: opt.MaxRounds,
-		Engine:    eng,
-	}
-	t, ok := taskRegistry[task]
-	if !ok {
-		return nil, fmt.Errorf("awakemis: unknown task %q (have %s)",
-			task, strings.Join(TaskNames(), "|"))
-	}
-	var collector *trace.Collector
+		Workers:   workers,
+	}}
 	if opt.Trace {
-		collector = trace.NewCollector()
-		cfg.Tracer = collector
+		l.collector = trace.NewCollector()
+		l.cfg.Tracer = l.collector
 	}
-	var acc *roundSummaryAcc
 	if opt.RoundSummary {
-		acc = &roundSummaryAcc{}
+		l.acc = &roundSummaryAcc{}
 	}
-	if acc != nil || opt.Observer != nil {
-		cfg.Observer = &simObserver{user: opt.Observer, acc: acc}
+	if l.acc != nil || opt.Observer != nil {
+		l.cfg.Observer = &simObserver{user: opt.Observer, acc: l.acc}
 	}
-	start := time.Now()
-	out, m, err := t.run(ctx, g, opt, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("awakemis: %s: %w", task, err)
+	var err error
+	if l.prog, l.output, err = t.prepare(g, opt, &l.cfg); err != nil {
+		return nil, fmt.Errorf("awakemis: %s: %w", t.Name, err)
 	}
-	if verr := t.verify(g, out); verr != nil {
-		return nil, fmt.Errorf("awakemis: %s produced invalid output (failed w.h.p. event): %w", task, verr)
+	return l, nil
+}
+
+// report verifies the lane's output against its task's oracle and
+// assembles the Report; m is the lane's share of the pass and start
+// when the pass's pipeline began.
+func (l *lane) report(g *Graph, m *sim.Metrics, start time.Time) (*Report, error) {
+	out := l.output()
+	if verr := l.task.verify(g, out); verr != nil {
+		return nil, fmt.Errorf("awakemis: %s produced invalid output (failed w.h.p. event): %w", l.task.Name, verr)
 	}
 	rep := &Report{
-		Task:     task,
+		Name:     l.spec.Name,
+		Task:     l.task.Name,
 		Engine:   string(EngineStepped),
-		Workers:  opt.Workers,
-		Seed:     opt.Seed,
+		Workers:  l.spec.Options.Workers,
+		Seed:     l.spec.Options.Seed,
 		Graph:    statsOf(g),
 		Metrics:  fromSim(m),
 		Output:   out,
 		Verified: true,
 		WallMS:   float64(time.Since(start)) / float64(time.Millisecond),
-		trace:    collector,
+		trace:    l.collector,
 	}
-	if acc != nil {
-		rep.RoundSummary = acc.summary()
+	if l.acc != nil {
+		rep.RoundSummary = l.acc.summary()
 	}
 	return rep, nil
 }

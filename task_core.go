@@ -1,8 +1,6 @@
 package awakemis
 
 import (
-	"context"
-
 	"awakemis/internal/core"
 	"awakemis/internal/ldtmis"
 	"awakemis/internal/sim"
@@ -18,7 +16,7 @@ func init() {
 		Summary:  "O(log log n)-awake MIS, the paper's main result (Theorem 13)",
 		IDScheme: "anonymous: per-node randomness only, random poly(N) IDs drawn internally",
 		rank:     0,
-		run:      runAwakeMIS(ldtmis.VariantAwake),
+		prepare:  prepareAwakeMIS(ldtmis.VariantAwake),
 		verify:   verifyMIS,
 	})
 	registerTask(Task{
@@ -27,21 +25,18 @@ func init() {
 		Summary:  "Awake-MIS on the deterministic LDT construction (Corollary 14)",
 		IDScheme: "anonymous: per-node randomness only, random poly(N) IDs drawn internally",
 		rank:     1,
-		run:      runAwakeMIS(ldtmis.VariantRound),
+		prepare:  prepareAwakeMIS(ldtmis.VariantRound),
 		verify:   verifyMIS,
 	})
 }
 
-func runAwakeMIS(variant ldtmis.Variant) func(context.Context, *Graph, Options, sim.Config) (Output, *sim.Metrics, error) {
-	return func(ctx context.Context, g *Graph, opt Options, cfg sim.Config) (Output, *sim.Metrics, error) {
+func prepareAwakeMIS(variant ldtmis.Variant) func(*Graph, Options, *sim.Config) (sim.StepProgram, func() Output, error) {
+	return func(g *Graph, opt Options, cfg *sim.Config) (sim.StepProgram, func() Output, error) {
 		params := opt.Params
 		if variant == ldtmis.VariantRound {
 			params.Variant = ldtmis.VariantRound
 		}
-		res, m, err := core.RunContext(ctx, g.internal(), params, cfg)
-		if err != nil {
-			return Output{}, m, err
-		}
-		return Output{InMIS: res.InMIS}, m, nil
+		sp, res := core.Prepare(g.internal(), params, cfg)
+		return sp, func() Output { return Output{InMIS: res.InMIS} }, nil
 	}
 }

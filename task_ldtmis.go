@@ -1,8 +1,6 @@
 package awakemis
 
 import (
-	"context"
-
 	"awakemis/internal/ldtmis"
 	"awakemis/internal/sim"
 )
@@ -15,7 +13,7 @@ func init() {
 		Summary:  "LDT-MIS: O(log n′) awake via labeled distance trees (Lemma 11)",
 		IDScheme: `distinct 40-bit IDs (Feistel over the 2⁴⁰ space), stream "big-ids"`,
 		rank:     5,
-		run: func(ctx context.Context, g *Graph, opt Options, cfg sim.Config) (Output, *sim.Metrics, error) {
+		prepare: func(g *Graph, opt Options, cfg *sim.Config) (sim.StepProgram, func() Output, error) {
 			ids := bigIDs(g.N(), opt.Seed)
 			np := 1
 			for _, c := range g.Components() {
@@ -28,11 +26,11 @@ func init() {
 				// 2⁴⁰ space, so the CONGEST budget scales with log I.
 				cfg.Bandwidth = sim.DefaultBandwidth(1 << 40)
 			}
-			res, m, err := ldtmis.RunContext(ctx, g.internal(), ids, np, ldtmis.VariantAwake, cfg)
+			sp, res, err := ldtmis.Prepare(g.internal(), ids, np, ldtmis.VariantAwake)
 			if err != nil {
-				return Output{}, m, err
+				return nil, nil, err
 			}
-			return Output{InMIS: res.InMIS}, m, nil
+			return sp, func() Output { return Output{InMIS: res.InMIS} }, nil
 		},
 		verify: verifyMIS,
 	})

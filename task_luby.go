@@ -1,8 +1,6 @@
 package awakemis
 
 import (
-	"context"
-
 	"awakemis/internal/luby"
 	"awakemis/internal/sim"
 )
@@ -15,12 +13,9 @@ func init() {
 		Summary:  "Luby's classical MIS: O(log n) rounds and O(log n) awake",
 		IDScheme: "anonymous: per-node randomness only",
 		rank:     2,
-		run: func(ctx context.Context, g *Graph, opt Options, cfg sim.Config) (Output, *sim.Metrics, error) {
-			res, m, err := luby.RunContext(ctx, g.internal(), cfg)
-			if err != nil {
-				return Output{}, m, err
-			}
-			return Output{InMIS: res.InMIS}, m, nil
+		prepare: func(g *Graph, opt Options, cfg *sim.Config) (sim.StepProgram, func() Output, error) {
+			sp, res := luby.Prepare(g.internal())
+			return sp, func() Output { return Output{InMIS: res.InMIS} }, nil
 		},
 		verify: verifyMIS,
 	})

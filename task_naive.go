@@ -1,8 +1,6 @@
 package awakemis
 
 import (
-	"context"
-
 	"awakemis/internal/naive"
 	"awakemis/internal/sim"
 )
@@ -16,13 +14,13 @@ func init() {
 		Summary:  "naive distributed sequential greedy MIS: O(I) awake (§5.3)",
 		IDScheme: `random permutation of [1, n], stream "perm-ids"`,
 		rank:     3,
-		run: func(ctx context.Context, g *Graph, opt Options, cfg sim.Config) (Output, *sim.Metrics, error) {
+		prepare: func(g *Graph, opt Options, cfg *sim.Config) (sim.StepProgram, func() Output, error) {
 			n := g.N()
-			res, m, err := naive.RunContext(ctx, g.internal(), permIDs(n, opt.Seed), n, cfg)
+			sp, res, err := naive.Prepare(g.internal(), permIDs(n, opt.Seed), n)
 			if err != nil {
-				return Output{}, m, err
+				return nil, nil, err
 			}
-			return Output{InMIS: res.InMIS}, m, nil
+			return sp, func() Output { return Output{InMIS: res.InMIS} }, nil
 		},
 		verify: verifyMIS,
 	})

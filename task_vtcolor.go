@@ -1,8 +1,6 @@
 package awakemis
 
 import (
-	"context"
-
 	"awakemis/internal/sim"
 	"awakemis/internal/verify"
 	"awakemis/internal/vtcolor"
@@ -17,13 +15,13 @@ func init() {
 		Summary:  "greedy (Δ+1)-coloring in O(log n) awake rounds (§7 extension)",
 		IDScheme: `random permutation of [1, n], stream "perm-ids"`,
 		rank:     6,
-		run: func(ctx context.Context, g *Graph, opt Options, cfg sim.Config) (Output, *sim.Metrics, error) {
+		prepare: func(g *Graph, opt Options, cfg *sim.Config) (sim.StepProgram, func() Output, error) {
 			n := g.N()
-			res, m, err := vtcolor.RunContext(ctx, g.internal(), permIDs(n, opt.Seed), n, cfg)
+			sp, res, err := vtcolor.Prepare(g.internal(), permIDs(n, opt.Seed), n)
 			if err != nil {
-				return Output{}, m, err
+				return nil, nil, err
 			}
-			return Output{Color: res.Color}, m, nil
+			return sp, func() Output { return Output{Color: res.Color} }, nil
 		},
 		verify: func(g *Graph, out Output) error {
 			return verify.CheckColoring(g.internal(), out.Color)

@@ -1,7 +1,6 @@
 package awakemis
 
 import (
-	"context"
 	"math/rand"
 
 	"awakemis/internal/rng"
@@ -19,18 +18,18 @@ func init() {
 		Summary:  "maximal matching with early-exit awake complexity (§7 extension)",
 		IDScheme: `random permutation of the edges, stream "edge-perm"`,
 		rank:     7,
-		run: func(ctx context.Context, g *Graph, opt Options, cfg sim.Config) (Output, *sim.Metrics, error) {
+		prepare: func(g *Graph, opt Options, cfg *sim.Config) (sim.StepProgram, func() Output, error) {
 			src := rand.New(rand.NewSource(rng.Derive(opt.Seed, "edge-perm", 0)))
 			perm := src.Perm(g.M())
 			ids := vtmatch.EdgeIDs{}
 			for i, e := range g.internal().Edges() {
 				ids[e] = perm[i] + 1
 			}
-			res, m, err := vtmatch.RunContext(ctx, g.internal(), ids, g.M(), cfg)
+			sp, res, err := vtmatch.Prepare(g.internal(), ids, g.M())
 			if err != nil {
-				return Output{}, m, err
+				return nil, nil, err
 			}
-			return Output{MatchedWith: res.MatchedWith}, m, nil
+			return sp, func() Output { return Output{MatchedWith: res.MatchedWith} }, nil
 		},
 		verify: func(g *Graph, out Output) error {
 			return verify.CheckMatching(g.internal(), out.MatchedWith)

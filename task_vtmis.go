@@ -1,8 +1,6 @@
 package awakemis
 
 import (
-	"context"
-
 	"awakemis/internal/sim"
 	"awakemis/internal/vtmis"
 )
@@ -15,13 +13,13 @@ func init() {
 		Summary:  "VT-MIS: O(log I) awake via the virtual binary tree (Lemma 10)",
 		IDScheme: `random permutation of [1, n], stream "perm-ids"`,
 		rank:     4,
-		run: func(ctx context.Context, g *Graph, opt Options, cfg sim.Config) (Output, *sim.Metrics, error) {
+		prepare: func(g *Graph, opt Options, cfg *sim.Config) (sim.StepProgram, func() Output, error) {
 			n := g.N()
-			res, m, err := vtmis.RunContext(ctx, g.internal(), permIDs(n, opt.Seed), n, cfg)
+			sp, res, err := vtmis.Prepare(g.internal(), permIDs(n, opt.Seed), n)
 			if err != nil {
-				return Output{}, m, err
+				return nil, nil, err
 			}
-			return Output{InMIS: res.InMIS}, m, nil
+			return sp, func() Output { return Output{InMIS: res.InMIS} }, nil
 		},
 		verify: verifyMIS,
 	})
