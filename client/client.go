@@ -1,8 +1,9 @@
 // Package client is the typed Go client for the awakemisd service
 // API: submit Specs, poll jobs, wait for Reports, cancel, and read
-// the registry, stats, and health endpoints. The wire structs mirror
-// internal/service one for one; the daemon's own end-to-end tests run
-// through this package, so drift between the two is caught in CI.
+// the registry, stats, and health endpoints. It also declares the
+// API's wire types — Job, Study, Stats, Health and the rest are the
+// daemon's own: internal/service encodes exactly these structs, so
+// there is one definition of every JSON document the daemon serves.
 package client
 
 import (
@@ -38,14 +39,20 @@ func WithTraceID(ctx context.Context, id string) context.Context {
 // TraceID returns the trace id carried by ctx, or "".
 func TraceID(ctx context.Context) string { return traceid.From(ctx) }
 
-// JobStatus mirrors the service's job lifecycle states.
+// JobStatus is a job's (or study's) lifecycle state on the wire.
 type JobStatus string
 
 const (
-	JobQueued   JobStatus = "queued"
-	JobRunning  JobStatus = "running"
-	JobDone     JobStatus = "done"
-	JobFailed   JobStatus = "failed"
+	// JobQueued: waiting for a worker (or attached to a queued
+	// duplicate's flight).
+	JobQueued JobStatus = "queued"
+	// JobRunning: its simulation is executing.
+	JobRunning JobStatus = "running"
+	// JobDone: the Report is available.
+	JobDone JobStatus = "done"
+	// JobFailed: the run errored; Error describes why.
+	JobFailed JobStatus = "failed"
+	// JobCanceled: the submitter canceled before completion.
 	JobCanceled JobStatus = "canceled"
 )
 
@@ -54,38 +61,52 @@ func (s JobStatus) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCanceled
 }
 
-// Job is one submission as the server reports it. Spec is the
-// server's canonical form and Hash its content address.
+// Job is the wire view of one submission. Spec is the canonical form
+// (defaults filled, seed resolved) and Hash its content address;
+// identical canonical specs share one simulation and one cache entry.
 type Job struct {
-	ID     string          `json:"id"`
-	Status JobStatus       `json:"status"`
-	Hash   string          `json:"hash"`
-	Spec   awakemis.Spec   `json:"spec"`
-	Cached bool            `json:"cached,omitempty"`
-	Error  string          `json:"error,omitempty"`
+	ID     string        `json:"id"`
+	Status JobStatus     `json:"status"`
+	Hash   string        `json:"hash"`
+	Spec   awakemis.Spec `json:"spec"`
+	// Cached reports that the job was served from the report cache
+	// without waiting on a simulation.
+	Cached bool `json:"cached,omitempty"`
+	// Error is set when Status is "failed".
+	Error string `json:"error,omitempty"`
+	// Report holds the run's Report (the exact cached bytes — equal
+	// specs always receive bit-identical reports) when Status is "done".
 	Report json.RawMessage `json:"report,omitempty"`
-	// TraceID is the trace id the submission carried (or the daemon
-	// minted for it).
+	// TraceID is the request trace id the submission carried (or was
+	// minted), greppable across every daemon the job touched.
 	TraceID string `json:"trace_id,omitempty"`
-	// Progress is the live view of the running simulation, present
-	// while the job runs.
+	// Progress is the live view of the running simulation, attached
+	// while the flight executes and dropped once terminal (the Report
+	// then carries the full story).
 	Progress *JobProgress `json:"progress,omitempty"`
 }
 
-// JobProgress mirrors the service's live job-progress block.
+// JobProgress is the live view of a running job's simulation,
+// attached to the wire Job while its flight executes (GET
+// /v1/jobs/{id} and the SSE event stream). All fields are
+// best-effort observability data — they never feed back into results.
 type JobProgress struct {
-	// Rounds is the round horizon reached; Executed counts rounds
-	// actually executed (all-asleep rounds are skipped).
+	// Rounds is the round horizon reached so far (last observed round
+	// number + 1); Executed counts rounds actually executed (all-asleep
+	// rounds are skipped by the engines).
 	Rounds   int64 `json:"rounds"`
 	Executed int64 `json:"executed"`
-	// Awake is the awake-node count of the last observed round;
-	// AwakeFrac the same over the graph size.
+	// Awake is the awake-node count of the last observed round, and
+	// AwakeFrac the same as a fraction of the graph size.
 	Awake     int     `json:"awake"`
 	AwakeFrac float64 `json:"awake_frac"`
-	// ElapsedMS is wall time since the simulation started; ETAMS the
-	// server's remaining-time estimate (0 until the awake count decays).
+	// ElapsedMS is wall time since the simulation started.
 	ElapsedMS float64 `json:"elapsed_ms"`
-	ETAMS     float64 `json:"eta_ms,omitempty"`
+	// ETAMS estimates the remaining wall time by geometric-decay
+	// extrapolation of the awake count (the paper's algorithms put
+	// nodes to sleep at roughly constant rate in log-scale). Omitted
+	// until the awake count is decaying.
+	ETAMS float64 `json:"eta_ms,omitempty"`
 }
 
 // DecodeReport unmarshals the job's Report (Status must be "done").
@@ -100,7 +121,7 @@ func (j *Job) DecodeReport() (*awakemis.Report, error) {
 	return &rep, nil
 }
 
-// TaskInfo is one /v1/tasks registry entry.
+// TaskInfo is the /v1/tasks wire view of one registry entry.
 type TaskInfo struct {
 	Name     string `json:"name"`
 	Kind     string `json:"kind"`
@@ -108,7 +129,10 @@ type TaskInfo struct {
 	IDScheme string `json:"id_scheme"`
 }
 
-// Stats is the /v1/stats payload.
+// Stats is the /v1/stats payload: cache effectiveness, queue
+// pressure, and job accounting. EngineRuns counts simulations
+// actually started — the acceptance signal that cache hits and
+// coalesced duplicates never invoke an engine.
 type Stats struct {
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
@@ -122,21 +146,25 @@ type Stats struct {
 	JobsCompleted  int64 `json:"jobs_completed"`
 	JobsFailed     int64 `json:"jobs_failed"`
 	JobsCanceled   int64 `json:"jobs_canceled"`
-
+	// Study accounting: studies are grids of sub-jobs, so one study
+	// submission moves JobsSubmitted by its cell×trial count while
+	// moving StudiesSubmitted by one. EngineRuns still counts actual
+	// simulations — a re-submitted study leaves it unchanged.
 	StudiesSubmitted int64 `json:"studies_submitted"`
 	StudiesCompleted int64 `json:"studies_completed"`
 	StudiesFailed    int64 `json:"studies_failed"`
 	StudiesCanceled  int64 `json:"studies_canceled"`
-	// StudyCells tallies terminal study cells by outcome ("done",
-	// "cached", "failed", "canceled"); omitted until a study finishes.
-	StudyCells map[string]int64 `json:"study_cells,omitempty"`
-
+	// QueueDepth is the number of flights waiting for a worker;
+	// InFlight counts distinct simulations queued or running.
 	QueueDepth int  `json:"queue_depth"`
 	InFlight   int  `json:"inflight"`
 	Draining   bool `json:"draining"`
 
-	// Persistent store tier (omitted unless the daemon runs with
-	// -store-dir).
+	// Persistent store tier (all omitempty: the wire shape is
+	// unchanged unless the daemon runs with -store-dir). StoreHits
+	// count cache misses served from disk; StoreBytes/StoreEntries
+	// meter the record files; StoreCorrupt counts records discarded by
+	// checksum verification; StoreErrors counts failed write-throughs.
 	StoreHits      int64 `json:"store_hits,omitempty"`
 	StoreMisses    int64 `json:"store_misses,omitempty"`
 	StoreEntries   int64 `json:"store_entries,omitempty"`
@@ -146,28 +174,41 @@ type Stats struct {
 	StoreCorrupt   int64 `json:"store_corrupt,omitempty"`
 	StoreErrors    int64 `json:"store_errors,omitempty"`
 
-	// Cluster forwarding (omitted unless the daemon fronts a cluster
-	// with -peers).
+	// Cluster forwarding (all omitempty: present only on a front
+	// daemon given -peers). Forwarded counts flights served by a peer,
+	// attributed per peer in PeerForwards; ForwardErrors counts
+	// flights no peer could serve.
 	Forwarded     int64            `json:"forwarded,omitempty"`
 	ForwardErrors int64            `json:"forward_errors,omitempty"`
 	PeerForwards  map[string]int64 `json:"peer_forwards,omitempty"`
 	PeersHealthy  int              `json:"peers_healthy,omitempty"`
 	PeersTotal    int              `json:"peers_total,omitempty"`
 
-	// Engine-level telemetry (omitted until a local simulation
-	// executes a round).
+	// Engine-level telemetry (omitempty: zero until a local simulation
+	// executes a round — always zero on a pure front). RoundsSimulated
+	// totals executed rounds across all local runs; SimSeconds totals
+	// the engine time they took.
 	RoundsSimulated int64   `json:"rounds_simulated,omitempty"`
 	SimSeconds      float64 `json:"sim_seconds,omitempty"`
 
-	// Build identity of the serving daemon (mirrors Health).
+	// StudyCells counts study cells by terminal outcome ("done",
+	// "cached", "failed", "canceled") across all finished studies —
+	// the Prometheus awakemisd_study_cells_total series (omitempty:
+	// absent until a study finishes).
+	StudyCells map[string]int64 `json:"study_cells,omitempty"`
+
+	// Build identity of the serving daemon (omitempty: absent when the
+	// binary carries no module/VCS metadata). Mirrors Health and
+	// `awakemisd -version`.
 	Version   string `json:"version,omitempty"`
 	Revision  string `json:"revision,omitempty"`
 	BuildTime string `json:"build_time,omitempty"`
 	GoVersion string `json:"go_version,omitempty"`
 }
 
-// Health is the /v1/healthz payload: liveness plus the daemon's build
-// identity.
+// Health is the /v1/healthz payload: liveness ("ok" or "draining")
+// plus the build identity of the serving binary, so every daemon in a
+// cluster can be identified from the outside.
 type Health struct {
 	Status    string `json:"status"`
 	Version   string `json:"version,omitempty"`
@@ -492,57 +533,102 @@ func (c *Client) Run(ctx context.Context, spec awakemis.Spec) (*awakemis.Report,
 	}
 }
 
-// Study is one submitted study as the server reports it: a
-// parameter-sweep grid executing through the daemon's cache and
-// coalescing machinery. Spec is the server's resolved form.
+// Study is the wire view of one submitted study: a declarative
+// parameter-sweep grid whose cells execute as ordinary jobs through
+// the daemon's cache and singleflight — so a re-submitted study costs
+// zero simulations — and whose Reports aggregate server-side into a
+// StudyResult artifact. Spec is the server's resolved form.
 type Study struct {
-	ID       string             `json:"id"`
-	Status   JobStatus          `json:"status"`
-	Spec     awakemis.StudySpec `json:"spec"`
-	Done     int                `json:"done"`
-	Total    int                `json:"total"`
-	Error    string             `json:"error,omitempty"`
-	Result   json.RawMessage    `json:"result,omitempty"`
-	Progress *StudyProgress     `json:"progress,omitempty"`
+	ID     string             `json:"id"`
+	Status JobStatus          `json:"status"`
+	Spec   awakemis.StudySpec `json:"spec"`
+	// Done of Total sub-runs have finished.
+	Done  int `json:"done"`
+	Total int `json:"total"`
+	// Error is set when Status is "failed".
+	Error string `json:"error,omitempty"`
+	// Result holds the StudyResult artifact when Status is "done" —
+	// byte-identical to a local `awakemis -study` run of the same
+	// spec, because the daemon assembles it through the same public
+	// accumulator.
+	Result json.RawMessage `json:"result,omitempty"`
+	// Progress is the live per-cell view of the grid (states, executed
+	// rounds, ETA), attached once the executor starts and frozen at
+	// the terminal state — so a finished study still reports which
+	// cells the cache served.
+	Progress *StudyProgress `json:"progress,omitempty"`
 }
 
-// StudyProgress mirrors the server's live study view: per-cell states
-// plus grid-wide aggregates. On a terminal study it is the frozen
-// final tally.
+// StudyProgress is the live view of a running study, attached to the
+// wire Study on GET /v1/studies/{id} and the SSE event stream. The
+// per-cell states and every counter are monotone while the study
+// runs, and the terminal view is frozen at completion — a finished
+// study keeps reporting which cells were served from cache and how
+// many rounds its grid actually executed. Best-effort observability
+// data; it never feeds into the StudyResult artifact.
 type StudyProgress struct {
+	// Cells is the per-cell ticker, in grid enumeration order.
 	Cells []StudyCellProgress `json:"cells"`
-
+	// Aggregate cell counts by state (cached cells are not double
+	// counted under done).
 	CellsQueued   int `json:"cells_queued"`
 	CellsRunning  int `json:"cells_running"`
 	CellsDone     int `json:"cells_done"`
 	CellsCached   int `json:"cells_cached"`
 	CellsFailed   int `json:"cells_failed,omitempty"`
 	CellsCanceled int `json:"cells_canceled,omitempty"`
-
+	// RunsDone counts sub-runs that produced a report (the live
+	// counterpart of the study's Done field, which advances in spec
+	// order); RunsCached counts the ones served from cache.
 	RunsDone   int `json:"runs_done"`
 	RunsCached int `json:"runs_cached,omitempty"`
-
+	// ExecutedRounds totals rounds executed by the study's sub-runs so
+	// far (live trackers plus finished jobs); EngineSeconds totals the
+	// engine time they took (zero through a cluster front, where the
+	// worker daemons own the engine clocks). LanesVectorized counts
+	// sub-runs executed as lanes of a merged vectorized cell pass.
 	ExecutedRounds  int64   `json:"executed_rounds"`
 	EngineSeconds   float64 `json:"engine_seconds"`
 	LanesVectorized int     `json:"lanes_vectorized,omitempty"`
-
+	// ElapsedMS is wall time since submission; ETAMS extrapolates the
+	// remaining wall time from the completion rate so far (omitted
+	// until the first sub-run finishes, zero once terminal).
 	ElapsedMS float64 `json:"elapsed_ms"`
 	ETAMS     float64 `json:"eta_ms,omitempty"`
 }
 
-// StudyCellProgress is one grid cell's progress: which cell it is and
-// how far its trials have gotten.
+// CellState is one study cell's lifecycle state on the wire. It is
+// derived from the cell's trial sub-jobs, so it moves exactly as far
+// as they do: queued → running → done, with "cached" marking a cell
+// every one of whose trials was served from the report cache without
+// an engine run (a cell that mixes cached and executed trials reports
+// "done" with a nonzero Cached count).
+type CellState string
+
+const (
+	CellQueued   CellState = "queued"
+	CellRunning  CellState = "running"
+	CellDone     CellState = "done"
+	CellCached   CellState = "cached"
+	CellFailed   CellState = "failed"
+	CellCanceled CellState = "canceled"
+)
+
+// StudyCellProgress is the live view of one aggregation cell: its
+// identity (mirroring awakemis.StudyCell) plus how far its trials
+// have gotten.
 type StudyCellProgress struct {
 	Index  int    `json:"index"`
 	Task   string `json:"task"`
 	Family string `json:"family"`
 	N      int    `json:"n"`
 	Engine string `json:"engine"`
-
-	State  string `json:"state"` // queued|running|done|cached|failed|canceled
-	Done   int    `json:"done"`
-	Trials int    `json:"trials"`
-	Cached int    `json:"cached,omitempty"`
+	// State summarizes the cell's trials; Done of Trials sub-runs have
+	// produced a report, Cached of them straight from the cache.
+	State  CellState `json:"state"`
+	Done   int       `json:"done"`
+	Trials int       `json:"trials"`
+	Cached int       `json:"cached,omitempty"`
 }
 
 // DecodeResult unmarshals the study's StudyResult artifact (Status
@@ -665,28 +751,24 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	return &st, nil
 }
 
-// StatsRaw fetches /v1/stats as the server's exact JSON bytes. The
-// cluster front uses it to relay per-peer snapshots without dragging
-// them through this package's Stats struct (which would silently drop
-// fields a newer peer reports).
-func (c *Client) StatsRaw(ctx context.Context) (json.RawMessage, error) {
-	var raw json.RawMessage
-	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &raw); err != nil {
-		return nil, err
-	}
-	return raw, nil
-}
-
-// ClusterPeerStats is one worker daemon's row in the fleet view.
+// ClusterPeerStats is one peer's row in the /v1/cluster/stats
+// payload.
 type ClusterPeerStats struct {
-	Addr  string `json:"addr"`
+	Addr string `json:"addr"`
+	// Up reports whether the stats fetch succeeded — a live liveness
+	// signal, not the prober's cached opinion.
 	Up    bool   `json:"up"`
 	Error string `json:"error,omitempty"`
 	Stats *Stats `json:"stats,omitempty"`
 }
 
-// ClusterStatsView is the /v1/cluster/stats payload: the front's own
-// counters, every peer's, and their merged fleet total.
+// ClusterStatsView is the /v1/cluster/stats payload: the serving
+// front's own snapshot, every peer's snapshot (fetched concurrently
+// with bounded timeouts), and the merged fleet total — queue depth,
+// inflight, cache/store counters, and engine runs summed across self
+// plus every reachable peer. Hit *rates* are intentionally absent:
+// they derive from the summed hits/misses, and shipping both invites
+// disagreement.
 type ClusterStatsView struct {
 	Self       Stats              `json:"self"`
 	Peers      []ClusterPeerStats `json:"peers"`

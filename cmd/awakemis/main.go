@@ -529,7 +529,7 @@ func submitStudy(ctx context.Context, ss awakemis.StudySpec, server string, prog
 // move. Cells never transition back into "queued", so that state is
 // only ever the silent starting point.
 type studyTicker struct {
-	states  []string
+	states  []client.CellState
 	lastAgg string
 }
 
@@ -544,10 +544,10 @@ func (t *studyTicker) observe(s *client.Study) {
 		return
 	}
 	if t.states == nil {
-		t.states = make([]string, len(p.Cells))
+		t.states = make([]client.CellState, len(p.Cells))
 	}
 	for i, c := range p.Cells {
-		if i >= len(t.states) || c.State == t.states[i] || c.State == "queued" {
+		if i >= len(t.states) || c.State == t.states[i] || c.State == client.CellQueued {
 			continue
 		}
 		t.states[i] = c.State

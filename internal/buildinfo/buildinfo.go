@@ -1,7 +1,7 @@
 // Package buildinfo exposes the binary's build identity — module
 // version, VCS revision and commit time, Go toolchain — read once from
-// debug.ReadBuildInfo. The daemon prints it for -version, serves it on
-// /v1/healthz and /v1/stats, and the client mirrors it in Health, so
+// debug.ReadBuildInfo. The daemon prints it for -version and copies
+// it into the client.Health and client.Stats documents it serves, so
 // every process in a cluster can be identified from the outside.
 package buildinfo
 

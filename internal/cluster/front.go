@@ -166,13 +166,13 @@ func (f *Front) probe() {
 
 // FetchPeerStats implements service.PeerStatsFetcher, the read side
 // of GET /v1/cluster/stats: one concurrent /v1/stats fetch per peer,
-// each bounded by the probe timeout (within ctx), returning one
-// snapshot per configured peer — raw JSON on success, the error
+// each bounded by the probe timeout (within ctx), returning one row
+// per configured peer — Up with its Stats on success, the error
 // otherwise. The front's own stats are not included; the service
 // layer adds its own snapshot when it assembles the fleet view.
-func (f *Front) FetchPeerStats(ctx context.Context) []service.PeerSnapshot {
+func (f *Front) FetchPeerStats(ctx context.Context) []client.ClusterPeerStats {
 	addrs := f.ring.Peers()
-	snaps := make([]service.PeerSnapshot, len(addrs))
+	rows := make([]client.ClusterPeerStats, len(addrs))
 	var wg sync.WaitGroup
 	for i, addr := range addrs {
 		wg.Add(1)
@@ -180,12 +180,15 @@ func (f *Front) FetchPeerStats(ctx context.Context) []service.PeerSnapshot {
 			defer wg.Done()
 			pctx, cancel := context.WithTimeout(ctx, f.timeout)
 			defer cancel()
-			data, err := p.client.StatsRaw(pctx)
-			snaps[i] = service.PeerSnapshot{Addr: p.addr, Data: data, Err: err}
+			st, err := p.client.Stats(pctx)
+			rows[i] = client.ClusterPeerStats{Addr: p.addr, Up: err == nil, Stats: st}
+			if err != nil {
+				rows[i].Error = err.Error()
+			}
 		}(i, f.peers[addr])
 	}
 	wg.Wait()
-	return snaps
+	return rows
 }
 
 // PeerHealth reports every peer's last known health (service.Forwarder).
@@ -233,7 +236,7 @@ func permanent(err error) bool {
 // when non-nil, receives the owning peer's live job-progress views.
 // The trace id carried by ctx rides the forwarded requests, so the
 // worker daemon's logs join the submitter's trail.
-func (f *Front) Forward(ctx context.Context, spec awakemis.Spec, progress func(service.JobProgress)) ([]byte, string, error) {
+func (f *Front) Forward(ctx context.Context, spec awakemis.Spec, progress func(client.JobProgress)) ([]byte, string, error) {
 	hash, err := service.Hash(spec)
 	if err != nil {
 		return nil, "", err
@@ -275,7 +278,7 @@ func (f *Front) Forward(ctx context.Context, spec awakemis.Spec, progress func(s
 
 // runOn submits the spec to one peer and waits for its report bytes,
 // relaying the peer's live progress views to the front's tracker.
-func (f *Front) runOn(ctx context.Context, p *peer, spec awakemis.Spec, progress func(service.JobProgress)) ([]byte, error) {
+func (f *Front) runOn(ctx context.Context, p *peer, spec awakemis.Spec, progress func(client.JobProgress)) ([]byte, error) {
 	job, err := p.client.Submit(ctx, spec)
 	if err != nil {
 		return nil, err
@@ -284,17 +287,9 @@ func (f *Front) runOn(ctx context.Context, p *peer, spec awakemis.Spec, progress
 		var onUpdate func(*client.Job)
 		if progress != nil {
 			onUpdate = func(j *client.Job) {
-				if j.Progress == nil {
-					return
+				if j.Progress != nil {
+					progress(*j.Progress)
 				}
-				progress(service.JobProgress{
-					Rounds:    j.Progress.Rounds,
-					Executed:  j.Progress.Executed,
-					Awake:     j.Progress.Awake,
-					AwakeFrac: j.Progress.AwakeFrac,
-					ElapsedMS: j.Progress.ElapsedMS,
-					ETAMS:     j.Progress.ETAMS,
-				})
 			}
 		}
 		if job, err = p.client.WaitJob(ctx, job.ID, onUpdate); err != nil {

@@ -12,6 +12,10 @@
 // a resolved (Spec, seed, engine) triple always produces the same
 // Report (up to wall time), so equal canonical specs can share one
 // simulation and cached bytes can be served forever.
+//
+// The JSON documents the daemon serves (Job, Study, Stats, Health and
+// their parts) are the public client package's types, encoded as-is;
+// Stats keeps a service-side alias.
 package service
 
 import (

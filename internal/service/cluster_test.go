@@ -9,7 +9,6 @@ package service_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -283,27 +282,21 @@ func TestClusterReroutesAroundDeadPeer(t *testing.T) {
 	}
 }
 
-// TestClusterPanickingJobFailsOnce: a spec that passes Validate but
-// panics while its graph is built (G(47000, 1) overflows the CSR edge
-// cap) must fail on the one peer that ran it, as a permanent failure:
-// the front neither reroutes it to the other peer nor marks the first
-// one down, and its job error names the spec hash.
+// TestClusterPanickingJobFailsOnce: a valid spec whose run panics on
+// the worker (panicForwarder stands in for the panic) must fail on the
+// one peer that ran it, as a permanent failure: the front neither
+// reroutes it to the other peer nor marks the first one down, and its
+// job error names the spec hash.
 func TestClusterPanickingJobFailsOnce(t *testing.T) {
 	ctx := context.Background()
-	w1 := startDaemon(t, service.Config{}, nil)
+	w1 := startDaemon(t, service.Config{Forward: panicForwarder{}}, nil)
 	defer w1.stop(t)
-	w2 := startDaemon(t, service.Config{}, nil)
+	w2 := startDaemon(t, service.Config{Forward: panicForwarder{}}, nil)
 	defer w2.stop(t)
 	front := startDaemon(t, service.Config{}, []string{w1.ts.URL, w2.ts.URL})
 	defer front.stop(t)
 
-	var spec awakemis.Spec
-	if err := json.Unmarshal([]byte(`{"task":"luby","graph":{"family":"gnp","n":47000,"p":1}}`), &spec); err != nil {
-		t.Fatal(err)
-	}
-	if err := spec.Validate(); err != nil {
-		t.Fatalf("the poison spec must pass Validate to reach the panic: %v", err)
-	}
+	spec := awakemis.Spec{Task: "luby", Graph: awakemis.GraphSpec{Family: "cycle", N: 64}}
 	hash, err := service.Hash(spec)
 	if err != nil {
 		t.Fatal(err)

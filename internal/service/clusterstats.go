@@ -2,61 +2,28 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"net/http"
 	"sort"
 	"time"
-)
 
-// PeerSnapshot is one peer's /v1/stats fetch result as a
-// PeerStatsFetcher reports it: raw JSON on success (the service
-// decodes it into its own Stats, so the fetcher needs no wire-struct
-// mirroring), the fetch error otherwise.
-type PeerSnapshot struct {
-	Addr string
-	Data []byte
-	Err  error
-}
+	"awakemis/client"
+)
 
 // PeerStatsFetcher is the optional Forwarder extension behind GET
 // /v1/cluster/stats: snapshot every peer's /v1/stats concurrently,
-// each fetch bounded by its own timeout, and return one entry per
-// configured peer. Implemented by internal/cluster.Front.
+// each fetch bounded by its own timeout, and return one row per
+// configured peer — Up with the peer's decoded Stats on success, the
+// fetch error otherwise. Implemented by internal/cluster.Front.
 type PeerStatsFetcher interface {
-	FetchPeerStats(ctx context.Context) []PeerSnapshot
+	FetchPeerStats(ctx context.Context) []client.ClusterPeerStats
 }
 
 // clusterStatsTimeout bounds the whole fan-out fetch; the fetcher
 // additionally bounds each peer individually, so one hung peer delays
 // the response by at most its probe timeout.
 const clusterStatsTimeout = 5 * time.Second
-
-// ClusterPeerStats is one peer's row in the /v1/cluster/stats payload.
-type ClusterPeerStats struct {
-	Addr string `json:"addr"`
-	// Up reports whether the stats fetch succeeded — a live liveness
-	// signal, not the prober's cached opinion.
-	Up    bool   `json:"up"`
-	Error string `json:"error,omitempty"`
-	Stats *Stats `json:"stats,omitempty"`
-}
-
-// ClusterStats is the /v1/cluster/stats payload: the serving front's
-// own snapshot, every peer's snapshot (fetched concurrently with
-// bounded timeouts), and the merged fleet total — queue depth,
-// inflight, cache/store counters, and engine runs summed across self
-// plus every reachable peer. Hit *rates* are intentionally absent:
-// they derive from the summed hits/misses, and shipping both invites
-// disagreement.
-type ClusterStats struct {
-	Self       Stats              `json:"self"`
-	Peers      []ClusterPeerStats `json:"peers"`
-	Total      Stats              `json:"total"`
-	PeersUp    int                `json:"peers_up"`
-	PeersTotal int                `json:"peers_total"`
-}
 
 // handleClusterStats is GET /v1/cluster/stats, served by any daemon
 // whose Forwarder can snapshot its peers (a front given -peers);
@@ -69,13 +36,13 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), clusterStatsTimeout)
 	defer cancel()
-	snaps := fetcher.FetchPeerStats(ctx)
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Addr < snaps[j].Addr })
+	peers := fetcher.FetchPeerStats(ctx)
+	sort.Slice(peers, func(i, j int) bool { return peers[i].Addr < peers[j].Addr })
 
-	cs := ClusterStats{
+	cs := client.ClusterStatsView{
 		Self:       s.StatsSnapshot(),
-		Peers:      make([]ClusterPeerStats, 0, len(snaps)),
-		PeersTotal: len(snaps),
+		Peers:      peers,
+		PeersTotal: len(peers),
 	}
 	cs.Total = cs.Self
 	// Total starts as a deep copy of Self: the map fields must not be
@@ -85,24 +52,11 @@ func (s *Server) handleClusterStats(w http.ResponseWriter, r *http.Request) {
 	// The fleet total carries no single build identity.
 	cs.Total.Version, cs.Total.Revision = "", ""
 	cs.Total.BuildTime, cs.Total.GoVersion = "", ""
-	for _, snap := range snaps {
-		row := ClusterPeerStats{Addr: snap.Addr}
-		if snap.Err != nil {
-			row.Error = snap.Err.Error()
-			cs.Peers = append(cs.Peers, row)
-			continue
+	for _, row := range peers {
+		if row.Up {
+			cs.PeersUp++
+			mergeStats(&cs.Total, row.Stats)
 		}
-		var st Stats
-		if err := json.Unmarshal(snap.Data, &st); err != nil {
-			row.Error = fmt.Sprintf("decoding stats: %s", err)
-			cs.Peers = append(cs.Peers, row)
-			continue
-		}
-		row.Up = true
-		row.Stats = &st
-		cs.Peers = append(cs.Peers, row)
-		cs.PeersUp++
-		mergeStats(&cs.Total, &st)
 	}
 	writeJSON(w, http.StatusOK, cs)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"awakemis"
+	"awakemis/client"
 	"awakemis/internal/buildinfo"
 	"awakemis/internal/traceid"
 )
@@ -29,14 +30,6 @@ var (
 // client package backs off and retries. A draining 503 deliberately
 // does not — the server is going away, retrying it is futile.
 var ErrOverloaded = fmt.Errorf("%w: overloaded", ErrUnavailable)
-
-// TaskInfo is the /v1/tasks wire view of one registry entry.
-type TaskInfo struct {
-	Name     string `json:"name"`
-	Kind     string `json:"kind"`
-	Summary  string `json:"summary"`
-	IDScheme string `json:"id_scheme"`
-}
 
 // apiError is the JSON error envelope every non-2xx response carries.
 type apiError struct {
@@ -158,7 +151,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	status := http.StatusAccepted
-	if job.Status.terminal() {
+	if job.Status.Terminal() {
 		status = http.StatusOK
 	}
 	writeJSON(w, status, job)
@@ -235,9 +228,9 @@ func (s *Server) handleCancelStudy(w http.ResponseWriter, r *http.Request) {
 // handleTasks is GET /v1/tasks: the task registry.
 func (s *Server) handleTasks(w http.ResponseWriter, _ *http.Request) {
 	tasks := awakemis.Tasks()
-	infos := make([]TaskInfo, len(tasks))
+	infos := make([]client.TaskInfo, len(tasks))
 	for i, t := range tasks {
-		infos[i] = TaskInfo{Name: t.Name, Kind: t.Kind, Summary: t.Summary, IDScheme: t.IDScheme}
+		infos[i] = client.TaskInfo{Name: t.Name, Kind: t.Kind, Summary: t.Summary, IDScheme: t.IDScheme}
 	}
 	writeJSON(w, http.StatusOK, infos)
 }
@@ -247,21 +240,15 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.StatsSnapshot())
 }
 
-// healthPayload is the /v1/healthz body: liveness plus the build
-// identity of the serving binary, so every daemon in a cluster can be
-// identified from the outside.
-type healthPayload struct {
-	Status string `json:"status"`
-	buildinfo.Info
-}
-
 // handleHealthz is GET /v1/healthz: 200 while serving, 503 while
 // draining; either way the body carries the daemon's build info.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
-	payload := healthPayload{Status: "ok", Info: buildinfo.Get()}
+	bi := buildinfo.Get()
+	payload := client.Health{Status: "ok", Version: bi.Version, Revision: bi.Revision,
+		BuildTime: bi.BuildTime, GoVersion: bi.GoVersion}
 	if draining {
 		payload.Status = "draining"
 		writeJSON(w, http.StatusServiceUnavailable, payload)

@@ -6,30 +6,8 @@ import (
 	"time"
 
 	"awakemis"
+	"awakemis/client"
 )
-
-// JobProgress is the live view of a running job's simulation,
-// attached to the wire Job while its flight executes (GET
-// /v1/jobs/{id} and the SSE event stream). All fields are
-// best-effort observability data — they never feed back into results.
-type JobProgress struct {
-	// Rounds is the round horizon reached so far (last observed round
-	// number + 1); Executed counts rounds actually executed (all-asleep
-	// rounds are skipped by the engines).
-	Rounds   int64 `json:"rounds"`
-	Executed int64 `json:"executed"`
-	// Awake is the awake-node count of the last observed round, and
-	// AwakeFrac the same as a fraction of the graph size.
-	Awake     int     `json:"awake"`
-	AwakeFrac float64 `json:"awake_frac"`
-	// ElapsedMS is wall time since the simulation started.
-	ElapsedMS float64 `json:"elapsed_ms"`
-	// ETAMS estimates the remaining wall time by geometric-decay
-	// extrapolation of the awake count (the paper's algorithms put
-	// nodes to sleep at roughly constant rate in log-scale). Omitted
-	// until the awake count is decaying.
-	ETAMS float64 `json:"eta_ms,omitempty"`
-}
 
 // progressTracker is the per-flight awakemis.RoundObserver behind live
 // job progress: the engine goroutine feeds it one flat RoundStat per
@@ -41,7 +19,7 @@ type progressTracker struct {
 	start time.Time
 
 	mu     sync.Mutex
-	cur    JobProgress
+	cur    client.JobProgress
 	peak   int   // peak awake count, for the ETA extrapolation
 	simNS  int64 // summed per-round engine time
 	remote bool  // cur was relayed from a worker daemon (front mode)
@@ -69,7 +47,7 @@ func (t *progressTracker) ObserveRound(st awakemis.RoundStat) {
 
 // setRemote replaces the tracked state with a progress view relayed
 // from the worker daemon actually running the simulation (front mode).
-func (t *progressTracker) setRemote(p JobProgress) {
+func (t *progressTracker) setRemote(p client.JobProgress) {
 	t.mu.Lock()
 	t.cur = p
 	t.remote = true
@@ -78,7 +56,7 @@ func (t *progressTracker) setRemote(p JobProgress) {
 
 // snapshot returns the current progress view, or nil before the first
 // round (or relayed update) lands.
-func (t *progressTracker) snapshot() *JobProgress {
+func (t *progressTracker) snapshot() *client.JobProgress {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.cur.Executed == 0 && !t.remote {

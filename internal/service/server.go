@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"awakemis"
+	"awakemis/client"
 	"awakemis/internal/buildinfo"
 	"awakemis/internal/store"
 	"awakemis/internal/traceid"
@@ -66,12 +67,12 @@ type Config struct {
 // Forwarder executes a flight on a remote worker daemon on behalf of
 // a front server. Forward returns the peer's exact report bytes (the
 // byte-identity contract extends across the cluster) and the address
-// of the peer that served it; progress, when non-nil, receives relayed
-// live-progress views from the peer while the run executes. The trace
-// id carried by ctx (traceid.From) must be propagated to the peer.
-// Implemented by internal/cluster.Front.
+// of the peer that served it; progress, when non-nil, receives the
+// peer's own live-progress views, unchanged, while the run executes.
+// The trace id carried by ctx (traceid.From) must be propagated to
+// the peer. Implemented by internal/cluster.Front.
 type Forwarder interface {
-	Forward(ctx context.Context, spec awakemis.Spec, progress func(JobProgress)) (report []byte, peer string, err error)
+	Forward(ctx context.Context, spec awakemis.Spec, progress func(client.JobProgress)) (report []byte, peer string, err error)
 	// PeerHealth reports every configured peer's last known health.
 	PeerHealth() map[string]bool
 }
@@ -107,57 +108,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// JobStatus is a job's lifecycle state on the wire.
-type JobStatus string
-
-const (
-	// JobQueued: waiting for a worker (or attached to a queued
-	// duplicate's flight).
-	JobQueued JobStatus = "queued"
-	// JobRunning: its simulation is executing.
-	JobRunning JobStatus = "running"
-	// JobDone: the Report is available.
-	JobDone JobStatus = "done"
-	// JobFailed: the run errored; Error describes why.
-	JobFailed JobStatus = "failed"
-	// JobCanceled: the submitter canceled before completion.
-	JobCanceled JobStatus = "canceled"
-)
-
-// terminal reports whether the status is final.
-func (s JobStatus) terminal() bool {
-	return s == JobDone || s == JobFailed || s == JobCanceled
-}
-
-// Job is the wire view of one submission. Spec is the canonical form
-// (defaults filled, seed resolved) and Hash its content address;
-// identical canonical specs share one simulation and one cache entry.
-type Job struct {
-	ID     string        `json:"id"`
-	Status JobStatus     `json:"status"`
-	Hash   string        `json:"hash"`
-	Spec   awakemis.Spec `json:"spec"`
-	// Cached reports that the job was served from the report cache
-	// without waiting on a simulation.
-	Cached bool `json:"cached,omitempty"`
-	// Error is set when Status is "failed".
-	Error string `json:"error,omitempty"`
-	// Report holds the run's Report (the exact cached bytes — equal
-	// specs always receive bit-identical reports) when Status is "done".
-	Report json.RawMessage `json:"report,omitempty"`
-	// TraceID is the request trace id the submission carried (or was
-	// minted), greppable across every daemon the job touched.
-	TraceID string `json:"trace_id,omitempty"`
-	// Progress is the live view of the running simulation, attached
-	// while the flight executes and dropped once terminal (the Report
-	// then carries the full story).
-	Progress *JobProgress `json:"progress,omitempty"`
-}
-
 // job is a Job plus the server-side bookkeeping that never leaves the
 // process.
 type job struct {
-	Job
+	client.Job
 	flight *flight
 	// done closes when the job reaches a terminal state — the in-process
 	// completion signal study executors wait on (HTTP clients poll).
@@ -187,7 +141,7 @@ type flight struct {
 	// cancel aborts the running simulation at its next round boundary
 	// (nil until a worker picks the flight up).
 	cancel context.CancelFunc
-	state  JobStatus // JobQueued until a worker starts it
+	state  client.JobStatus // JobQueued until a worker starts it
 	// traceID is the first submitter's trace id — the one the run (and
 	// any cluster forward) executes under. Coalesced duplicates keep
 	// their own ids on their jobs.
@@ -214,82 +168,10 @@ type vectorGroup struct {
 	started bool      // set by the driving worker under Server.mu
 }
 
-// Stats is the /v1/stats payload: cache effectiveness, queue
-// pressure, and job accounting. EngineRuns counts simulations
-// actually started — the acceptance signal that cache hits and
-// coalesced duplicates never invoke an engine.
-type Stats struct {
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	Coalesced      int64 `json:"coalesced"`
-	EngineRuns     int64 `json:"engine_runs"`
-	CacheEntries   int   `json:"cache_entries"`
-	CacheBytes     int64 `json:"cache_bytes"`
-	CacheBudget    int64 `json:"cache_budget_bytes"`
-	CacheEvictions int64 `json:"cache_evictions"`
-	JobsSubmitted  int64 `json:"jobs_submitted"`
-	JobsCompleted  int64 `json:"jobs_completed"`
-	JobsFailed     int64 `json:"jobs_failed"`
-	JobsCanceled   int64 `json:"jobs_canceled"`
-	// Study accounting: studies are grids of sub-jobs, so one study
-	// submission moves JobsSubmitted by its cell×trial count while
-	// moving StudiesSubmitted by one. EngineRuns still counts actual
-	// simulations — a re-submitted study leaves it unchanged.
-	StudiesSubmitted int64 `json:"studies_submitted"`
-	StudiesCompleted int64 `json:"studies_completed"`
-	StudiesFailed    int64 `json:"studies_failed"`
-	StudiesCanceled  int64 `json:"studies_canceled"`
-	// QueueDepth is the number of flights waiting for a worker;
-	// InFlight counts distinct simulations queued or running.
-	QueueDepth int  `json:"queue_depth"`
-	InFlight   int  `json:"inflight"`
-	Draining   bool `json:"draining"`
-
-	// Persistent store tier (all omitempty: the wire shape is
-	// unchanged unless a store is configured). StoreHits count cache
-	// misses served from disk; StoreBytes/StoreEntries meter the
-	// record files; StoreCorrupt counts records discarded by
-	// checksum verification; StoreErrors counts failed write-throughs.
-	StoreHits      int64 `json:"store_hits,omitempty"`
-	StoreMisses    int64 `json:"store_misses,omitempty"`
-	StoreEntries   int64 `json:"store_entries,omitempty"`
-	StoreBytes     int64 `json:"store_bytes,omitempty"`
-	StoreBudget    int64 `json:"store_budget_bytes,omitempty"`
-	StoreEvictions int64 `json:"store_evictions,omitempty"`
-	StoreCorrupt   int64 `json:"store_corrupt,omitempty"`
-	StoreErrors    int64 `json:"store_errors,omitempty"`
-
-	// Cluster forwarding (all omitempty: present only on a front
-	// daemon). Forwarded counts flights served by a peer, attributed
-	// per peer in PeerForwards; ForwardErrors counts flights no peer
-	// could serve.
-	Forwarded     int64            `json:"forwarded,omitempty"`
-	ForwardErrors int64            `json:"forward_errors,omitempty"`
-	PeerForwards  map[string]int64 `json:"peer_forwards,omitempty"`
-	PeersHealthy  int              `json:"peers_healthy,omitempty"`
-	PeersTotal    int              `json:"peers_total,omitempty"`
-
-	// Engine-level telemetry (omitempty: zero until a local simulation
-	// executes a round — always zero on a pure front). RoundsSimulated
-	// totals executed rounds across all local runs; SimSeconds totals
-	// the engine time they took.
-	RoundsSimulated int64   `json:"rounds_simulated,omitempty"`
-	SimSeconds      float64 `json:"sim_seconds,omitempty"`
-
-	// StudyCells counts study cells by terminal outcome ("done",
-	// "cached", "failed", "canceled") across all finished studies —
-	// the Prometheus awakemisd_study_cells_total series (omitempty:
-	// absent until a study finishes).
-	StudyCells map[string]int64 `json:"study_cells,omitempty"`
-
-	// Build identity of the serving daemon (omitempty: absent when the
-	// binary carries no module/VCS metadata). Mirrors /v1/healthz and
-	// `awakemisd -version`.
-	Version   string `json:"version,omitempty"`
-	Revision  string `json:"revision,omitempty"`
-	BuildTime string `json:"build_time,omitempty"`
-	GoVersion string `json:"go_version,omitempty"`
-}
+// Stats is the /v1/stats payload. Every wire type is declared once,
+// in the client package; this alias keeps the service.Stats name its
+// callers (the benchmark harness among them) use.
+type Stats = client.Stats
 
 // Server is the awakemisd core: a bounded queue of deduplicated
 // simulation flights, a worker pool executing them through the public
@@ -426,27 +308,27 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // (terminal, Cached), attached to an identical in-flight simulation,
 // or queued as a new flight. The error is ErrInvalidSpec-wrapping for
 // malformed specs and ErrUnavailable-wrapping when draining or full.
-func (s *Server) Submit(spec awakemis.Spec) (Job, error) {
+func (s *Server) Submit(spec awakemis.Spec) (client.Job, error) {
 	return s.SubmitTraced(spec, "")
 }
 
 // SubmitTraced is Submit carrying the submitter's trace id: the job
 // records it, and a new flight runs (and forwards) under it, so one
 // grep follows the job across every daemon.
-func (s *Server) SubmitTraced(spec awakemis.Spec, traceID string) (Job, error) {
+func (s *Server) SubmitTraced(spec awakemis.Spec, traceID string) (client.Job, error) {
 	if err := spec.Validate(); err != nil {
-		return Job{}, err
+		return client.Job{}, err
 	}
 	canonical := Canonicalize(spec)
 	hash, err := hashCanonical(canonical)
 	if err != nil {
-		return Job{}, err
+		return client.Job{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, err := s.submitLocked(canonical, hash, traceID)
 	if err != nil {
-		return Job{}, err
+		return client.Job{}, err
 	}
 	return j.Job, nil
 }
@@ -459,11 +341,11 @@ func (s *Server) submitLocked(canonical awakemis.Spec, hash, traceID string) (*j
 	}
 	s.seq++
 	j := &job{
-		Job: Job{
+		Job: client.Job{
 			ID:      fmt.Sprintf("j-%06d", s.seq),
 			Hash:    hash,
 			Spec:    canonical,
-			Status:  JobQueued,
+			Status:  client.JobQueued,
 			TraceID: traceID,
 		},
 		done: make(chan struct{}),
@@ -493,7 +375,7 @@ func (s *Server) submitLocked(canonical awakemis.Spec, hash, traceID string) (*j
 	}
 	s.stats.JobsSubmitted++
 	s.stats.CacheMisses++
-	f := &flight{hash: hash, spec: canonical, jobs: []*job{j}, live: 1, state: JobQueued,
+	f := &flight{hash: hash, spec: canonical, jobs: []*job{j}, live: 1, state: client.JobQueued,
 		traceID: traceID, enqueued: time.Now()}
 	j.flight = f
 	s.inflight[hash] = f
@@ -510,7 +392,7 @@ func (s *Server) serveCachedLocked(j *job, data []byte) *job {
 	s.stats.JobsSubmitted++
 	s.stats.CacheHits++
 	s.stats.JobsCompleted++
-	j.Status = JobDone
+	j.Status = client.JobDone
 	j.Cached = true
 	j.Report = data
 	s.jobs[j.ID] = j
@@ -520,12 +402,12 @@ func (s *Server) serveCachedLocked(j *job, data []byte) *job {
 
 // Lookup returns the job's current wire view, with a live progress
 // snapshot attached while its simulation runs.
-func (s *Server) Lookup(id string) (Job, bool) {
+func (s *Server) Lookup(id string) (client.Job, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	if !ok {
 		s.mu.Unlock()
-		return Job{}, false
+		return client.Job{}, false
 	}
 	wire := j.Job
 	var tracker *progressTracker
@@ -545,14 +427,14 @@ func (s *Server) Lookup(id string) (Job, bool) {
 // as long as any duplicate submitter still wants it; only when the
 // last live job cancels is the run itself aborted (or the queued
 // flight abandoned). Canceling a finished job returns ErrConflict.
-func (s *Server) Cancel(id string) (Job, error) {
+func (s *Server) Cancel(id string) (client.Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
-		return Job{}, fmt.Errorf("%w: no job %s", ErrNotFound, id)
+		return client.Job{}, fmt.Errorf("%w: no job %s", ErrNotFound, id)
 	}
-	if j.Status.terminal() {
+	if j.Status.Terminal() {
 		return j.Job, fmt.Errorf("%w: job %s already %s", ErrConflict, id, j.Status)
 	}
 	s.cancelLocked(j)
@@ -563,7 +445,7 @@ func (s *Server) Cancel(id string) (Job, error) {
 // Cancel and the study teardown paths.
 func (s *Server) cancelLocked(j *job) {
 	f := j.flight // finishLocked clears the pointer
-	j.Status = JobCanceled
+	j.Status = client.JobCanceled
 	if f != nil && f.tracker != nil {
 		j.rounds, j.simNS = f.tracker.progressTotals()
 	}
@@ -719,13 +601,13 @@ func (s *Server) runLocked(flights []*flight) {
 	waiters := make([]int, len(flights))
 	for i, f := range flights {
 		f.cancel = release
-		f.state = JobRunning
+		f.state = client.JobRunning
 		f.tracker = newProgressTracker(f.spec.Graph.N)
 		waits[i] = time.Since(f.enqueued)
 		waiters[i] = len(f.jobs)
 		for _, j := range f.jobs {
-			if j.Status == JobQueued {
-				j.Status = JobRunning
+			if j.Status == client.JobQueued {
+				j.Status = client.JobRunning
 			}
 		}
 		trials[i] = awakemis.Trial{
@@ -787,15 +669,15 @@ func (s *Server) runLocked(flights []*flight) {
 			delete(s.inflight, f.hash)
 		}
 		for _, j := range f.jobs {
-			if j.Status.terminal() {
+			if j.Status.Terminal() {
 				continue // canceled waiters keep their cancellation
 			}
 			if err != nil {
-				j.Status = JobFailed
+				j.Status = client.JobFailed
 				j.Error = err.Error()
 				s.stats.JobsFailed++
 			} else {
-				j.Status = JobDone
+				j.Status = client.JobDone
 				j.Report = datas[i]
 				s.stats.JobsCompleted++
 			}

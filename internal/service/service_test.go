@@ -447,7 +447,7 @@ func TestGracefulDrain(t *testing.T) {
 	c.PollInterval = 5 * time.Millisecond
 	ctx := context.Background()
 
-	jobs := make([]service.Job, 3)
+	jobs := make([]client.Job, 3)
 	for i := range jobs {
 		spec := targetSpec()
 		spec.Options.Seed = int64(i + 1) // three distinct queued runs
@@ -465,7 +465,7 @@ func TestGracefulDrain(t *testing.T) {
 	// Every queued job was drained to completion, not abandoned.
 	for i, job := range jobs {
 		final, ok := srv.Lookup(job.ID)
-		if !ok || final.Status != service.JobDone {
+		if !ok || final.Status != client.JobDone {
 			t.Errorf("job %d after drain: %+v", i, final)
 		}
 	}
@@ -484,29 +484,46 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
+// panicForwarder makes every run panic inside the service's execute
+// path. Validate now bounds every graph family, so no known spec
+// reaches a panic there; the recover that turns one into a failed job
+// must hold all the same.
+type panicForwarder struct{}
+
+func (panicForwarder) Forward(context.Context, awakemis.Spec, func(client.JobProgress)) ([]byte, string, error) {
+	panic("poison")
+}
+
+func (panicForwarder) PeerHealth() map[string]bool { return nil }
+
 // TestPoisonSpecsLeaveDaemonHealthy: a spec whose graph overflows the
-// simulator is refused with 400 when Validate can size it exactly
-// (complete), and when it cannot (gnp at p = 1 builds the same
-// complete graph) the build panic fails the job — its error naming the
-// spec hash — instead of killing the daemon. /v1/healthz stays up
-// after both.
+// simulator is refused with 400, whether Validate sizes it exactly
+// (complete) or by its family's bound (gnp at p = 1 builds the same
+// complete graph), and a run that panics fails its job — the error
+// naming the spec hash — instead of killing the daemon. /v1/healthz
+// stays up after all three.
 func TestPoisonSpecsLeaveDaemonHealthy(t *testing.T) {
-	srv, c := newTestServer(t, service.Config{})
+	srv, c := newTestServer(t, service.Config{Forward: panicForwarder{}})
 	ctx := context.Background()
 
-	_, err := c.Submit(ctx, awakemis.Spec{Task: "luby", Graph: awakemis.GraphSpec{Family: "complete", N: 47_000}})
-	apiErr := new(client.APIError)
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
-		t.Fatalf("complete n=47000: %v, want HTTP 400", err)
+	for _, gs := range []awakemis.GraphSpec{
+		{Family: "complete", N: 47_000},
+		{Family: "gnp", N: 47_000, P: 1},
+	} {
+		_, err := c.Submit(ctx, awakemis.Spec{Task: "luby", Graph: gs})
+		apiErr := new(client.APIError)
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s n=%d: %v, want HTTP 400", gs.Family, gs.N, err)
+		}
 	}
 
-	job, err := c.Submit(ctx, awakemis.Spec{Task: "luby", Graph: awakemis.GraphSpec{Family: "gnp", N: 47_000, P: 1}})
+	job, err := c.Submit(ctx, awakemis.Spec{Task: "luby", Graph: awakemis.GraphSpec{Family: "cycle", N: 64}})
 	if err != nil {
-		t.Fatalf("gnp n=47000 p=1 must pass validation: %v", err)
+		t.Fatal(err)
 	}
 	done, err := c.WaitJob(ctx, job.ID, nil)
 	if err == nil && done.Status == client.JobDone {
-		t.Fatal("gnp n=47000 p=1 produced a report")
+		t.Fatal("the panicking run produced a report")
 	}
 	if got, _ := c.Job(ctx, job.ID); got == nil || got.Status != client.JobFailed || !strings.Contains(got.Error, job.Hash) {
 		t.Fatalf("poison job = %+v, want failed with an error naming hash %s", got, job.Hash)

@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"sort"
 	"testing"
+
+	"awakemis/client"
 )
 
 // legacyStatsKeys is the frozen pre-store/pre-cluster key set. A
@@ -70,7 +72,7 @@ func TestStatsZeroValueKeepsLegacyShape(t *testing.T) {
 // so a minimal study document keeps the pre-progress key set and
 // canonical artifact hashes stay unchanged.
 func TestStudyZeroValueKeepsLegacyShape(t *testing.T) {
-	data, err := json.Marshal(Study{})
+	data, err := json.Marshal(client.Study{})
 	if err != nil {
 		t.Fatal(err)
 	}

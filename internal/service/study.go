@@ -9,37 +9,12 @@ import (
 	"time"
 
 	"awakemis"
+	"awakemis/client"
 )
-
-// Study is the wire view of one submitted study: a declarative
-// parameter-sweep grid whose cells execute as ordinary jobs through
-// the server's cache and singleflight — so a re-submitted study costs
-// zero simulations — and whose Reports aggregate server-side into a
-// StudyResult artifact.
-type Study struct {
-	ID     string             `json:"id"`
-	Status JobStatus          `json:"status"`
-	Spec   awakemis.StudySpec `json:"spec"`
-	// Done of Total sub-runs have finished.
-	Done  int `json:"done"`
-	Total int `json:"total"`
-	// Error is set when Status is "failed".
-	Error string `json:"error,omitempty"`
-	// Result holds the StudyResult artifact when Status is "done" —
-	// byte-identical to a local `awakemis -study` run of the same
-	// spec, because the daemon assembles it through the same public
-	// accumulator.
-	Result json.RawMessage `json:"result,omitempty"`
-	// Progress is the live per-cell view of the grid (states, executed
-	// rounds, ETA), attached once the executor starts and frozen at
-	// the terminal state — so a finished study still reports which
-	// cells the cache served.
-	Progress *StudyProgress `json:"progress,omitempty"`
-}
 
 // studyRun is a Study plus the server-side execution state.
 type studyRun struct {
-	Study
+	client.Study
 	// traceID is the submitter's trace id; every sub-job inherits it,
 	// so one grep finds the whole grid across the cluster.
 	traceID string
@@ -54,7 +29,7 @@ type studyRun struct {
 	started time.Time
 	// final is the progress view frozen at the terminal transition
 	// (the sub-job references are released there); nil while live.
-	final *StudyProgress
+	final *client.StudyProgress
 	// done closes when the study reaches a terminal state — the
 	// completion signal the SSE event stream selects on.
 	done chan struct{}
@@ -75,28 +50,28 @@ const backpressureRetry = 10 * time.Millisecond
 // LookupStudy (GET /v1/studies/{id}) until terminal. Errors wrap
 // ErrInvalidSpec for malformed studies and ErrUnavailable while
 // draining.
-func (s *Server) SubmitStudy(ss awakemis.StudySpec) (Study, error) {
+func (s *Server) SubmitStudy(ss awakemis.StudySpec) (client.Study, error) {
 	return s.SubmitStudyTraced(ss, "")
 }
 
 // SubmitStudyTraced is SubmitStudy carrying the submitter's trace id:
 // every sub-job of the grid records and runs under it.
-func (s *Server) SubmitStudyTraced(ss awakemis.StudySpec, traceID string) (Study, error) {
+func (s *Server) SubmitStudyTraced(ss awakemis.StudySpec, traceID string) (client.Study, error) {
 	acc, err := ss.Accumulator()
 	if err != nil {
-		return Study{}, err
+		return client.Study{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return Study{}, fmt.Errorf("%w: server is draining", ErrUnavailable)
+		return client.Study{}, fmt.Errorf("%w: server is draining", ErrUnavailable)
 	}
 	s.studySeq++
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	st := &studyRun{
-		Study: Study{
+		Study: client.Study{
 			ID:     fmt.Sprintf("s-%06d", s.studySeq),
-			Status: JobQueued,
+			Status: client.JobQueued,
 			Spec:   acc.Study(),
 			Total:  acc.Total(),
 		},
@@ -116,12 +91,12 @@ func (s *Server) SubmitStudyTraced(ss awakemis.StudySpec, traceID string) (Study
 
 // LookupStudy returns the study's current wire view, with the live
 // (or, once terminal, frozen) per-cell progress attached.
-func (s *Server) LookupStudy(id string) (Study, bool) {
+func (s *Server) LookupStudy(id string) (client.Study, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.studies[id]
 	if !ok {
-		return Study{}, false
+		return client.Study{}, false
 	}
 	wire := st.Study
 	wire.Progress = s.studyProgressLocked(st)
@@ -131,10 +106,10 @@ func (s *Server) LookupStudy(id string) (Study, bool) {
 // ListStudies returns every queryable study newest-first, Results
 // stripped (an artifact can run to megabytes; fetch it by id). The
 // dashboard's study panel reads this.
-func (s *Server) ListStudies() []Study {
+func (s *Server) ListStudies() []client.Study {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Study, 0, len(s.studies))
+	out := make([]client.Study, 0, len(s.studies))
 	for _, st := range s.studies {
 		wire := st.Study
 		wire.Result = nil
@@ -149,20 +124,20 @@ func (s *Server) ListStudies() []Study {
 // sub-run shared with another submitter keeps running for them — the
 // usual last-waiter rule), submission stops, and no artifact is
 // produced. Canceling a finished study returns ErrConflict.
-func (s *Server) CancelStudy(id string) (Study, error) {
+func (s *Server) CancelStudy(id string) (client.Study, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.studies[id]
 	if !ok {
-		return Study{}, fmt.Errorf("%w: no study %s", ErrNotFound, id)
+		return client.Study{}, fmt.Errorf("%w: no study %s", ErrNotFound, id)
 	}
-	if st.Status.terminal() {
+	if st.Status.Terminal() {
 		return st.Study, fmt.Errorf("%w: study %s already %s", ErrConflict, id, st.Status)
 	}
-	st.Status = JobCanceled
+	st.Status = client.JobCanceled
 	s.stats.StudiesCanceled++
 	for _, j := range st.jobs {
-		if !j.Status.terminal() {
+		if !j.Status.Terminal() {
 			s.cancelLocked(j)
 		}
 	}
@@ -181,8 +156,8 @@ func (s *Server) runStudy(st *studyRun, acc *awakemis.StudyAccumulator) {
 	defer st.cancel()
 	specs := acc.Specs()
 	s.mu.Lock()
-	if st.Status == JobQueued {
-		st.Status = JobRunning
+	if st.Status == client.JobQueued {
+		st.Status = client.JobRunning
 	}
 	s.mu.Unlock()
 
@@ -206,7 +181,7 @@ func (s *Server) runStudy(st *studyRun, acc *awakemis.StudyAccumulator) {
 		}
 		for {
 			s.mu.Lock()
-			if st.Status.terminal() {
+			if st.Status.Terminal() {
 				s.mu.Unlock()
 				return // canceled while submitting; CancelStudy cleaned up
 			}
@@ -219,7 +194,7 @@ func (s *Server) runStudy(st *studyRun, acc *awakemis.StudyAccumulator) {
 				if s.fwd == nil && trials >= 2 &&
 					canonical.Options.Engine == awakemis.EngineStepped &&
 					canonical.Graph.Seed != 0 &&
-					j.flight != nil && j.flight.state == JobQueued &&
+					j.flight != nil && j.flight.state == client.JobQueued &&
 					len(j.flight.jobs) == 1 && j.flight.jobs[0] == j {
 					cellNew = append(cellNew, j.flight)
 				}
@@ -251,7 +226,7 @@ func (s *Server) runStudy(st *studyRun, acc *awakemis.StudyAccumulator) {
 	// matter — the accumulator is order-independent by construction).
 	for i := range specs {
 		s.mu.Lock()
-		if st.Status.terminal() { // canceled: st.jobs already released
+		if st.Status.Terminal() { // canceled: st.jobs already released
 			s.mu.Unlock()
 			return
 		}
@@ -260,15 +235,15 @@ func (s *Server) runStudy(st *studyRun, acc *awakemis.StudyAccumulator) {
 		<-j.done
 		s.mu.Lock()
 		jj := j.Job
-		if !st.Status.terminal() {
+		if !st.Status.Terminal() {
 			st.Done++
 		}
-		canceled := st.Status.terminal()
+		canceled := st.Status.Terminal()
 		s.mu.Unlock()
 		if canceled {
 			return
 		}
-		if jj.Status != JobDone {
+		if jj.Status != client.JobDone {
 			s.failStudy(st, fmt.Errorf("sub-run %s (%s) ended %s: %s", jj.ID, specs[i].Name, jj.Status, jj.Error))
 			return
 		}
@@ -294,8 +269,8 @@ func (s *Server) runStudy(st *studyRun, acc *awakemis.StudyAccumulator) {
 		return
 	}
 	s.mu.Lock()
-	if !st.Status.terminal() {
-		st.Status = JobDone
+	if !st.Status.Terminal() {
+		st.Status = client.JobDone
 		st.Result = data
 		s.stats.StudiesCompleted++
 		s.finishStudyLocked(st)
@@ -312,7 +287,7 @@ func (s *Server) runStudy(st *studyRun, acc *awakemis.StudyAccumulator) {
 func (s *Server) groupCellLocked(cell []*flight) {
 	lanes := make([]*flight, 0, len(cell))
 	for _, f := range cell {
-		if f.state == JobQueued && f.group == nil && f.live > 0 {
+		if f.state == client.JobQueued && f.group == nil && f.live > 0 {
 			lanes = append(lanes, f)
 		}
 	}
@@ -330,14 +305,14 @@ func (s *Server) groupCellLocked(cell []*flight) {
 func (s *Server) failStudy(st *studyRun, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st.Status.terminal() {
+	if st.Status.Terminal() {
 		return
 	}
-	st.Status = JobFailed
+	st.Status = client.JobFailed
 	st.Error = err.Error()
 	s.stats.StudiesFailed++
 	for _, j := range st.jobs {
-		if !j.Status.terminal() {
+		if !j.Status.Terminal() {
 			s.cancelLocked(j)
 		}
 	}

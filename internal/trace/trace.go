@@ -1,11 +1,8 @@
-// Package trace collects and renders execution views of the
-// SLEEPING-CONGEST simulator at two depths. Collector (a sim.Tracer)
-// records which rounds each sampled node was awake — the per-node deep
-// view for debugging schedules (a node awake when its peer sleeps is
-// the classic sleeping-model bug). RoundLog (a sim.RoundObserver)
-// records one flat aggregate per executed round — awake count,
-// messages, bits — with cost independent of the node count, so round
-// timelines keep working at n = 10⁷ where per-node recording cannot.
+// Package trace collects and renders a per-node execution view of the
+// SLEEPING-CONGEST simulator. Collector (a sim.Tracer) records which
+// rounds each sampled node was awake — the deep view for debugging
+// schedules (a node awake when its peer sleeps is the classic
+// sleeping-model bug) — plus message delivery and loss counts.
 package trace
 
 import (
@@ -209,83 +206,4 @@ func (c *Collector) Summary() string {
 		s += fmt.Sprintf("; node sample capped at %d (first %d ids)", c.MaxNodes, c.MaxNodes)
 	}
 	return s
-}
-
-// RoundLog implements sim.RoundObserver: a flat append-only log of
-// per-round aggregates. Unlike Collector it holds no per-node state at
-// all — memory is O(executed rounds) — so it is the trace layer that
-// still works at n = 10⁷. All fields except Elapsed are deterministic
-// for a fixed (graph, task, seed) on every engine at every worker
-// count.
-type RoundLog struct {
-	// Stats holds one entry per executed round, in round order.
-	Stats []sim.RoundStat
-}
-
-var _ sim.RoundObserver = (*RoundLog)(nil)
-
-// NewRoundLog returns an empty RoundLog.
-func NewRoundLog() *RoundLog { return &RoundLog{} }
-
-// ObserveRound implements sim.RoundObserver.
-func (l *RoundLog) ObserveRound(st sim.RoundStat) { l.Stats = append(l.Stats, st) }
-
-// Totals sums the per-round deltas; each equals the corresponding
-// final sim.Metrics counter (messages sent/delivered, bits, total
-// awake node-rounds).
-func (l *RoundLog) Totals() (sent, delivered, bits, awake int64) {
-	for _, st := range l.Stats {
-		sent += st.Sent
-		delivered += st.Delivered
-		bits += st.Bits
-		awake += int64(st.Awake)
-	}
-	return
-}
-
-// PeakAwake returns the maximum awake-node count over all rounds and
-// the first round attaining it.
-func (l *RoundLog) PeakAwake() (round int64, awake int) {
-	for _, st := range l.Stats {
-		if st.Awake > awake {
-			round, awake = st.Round, st.Awake
-		}
-	}
-	return
-}
-
-// Timeline renders an ASCII awake-density timeline of the whole run:
-// the horizon [0, lastRound] is split into width buckets and each cell
-// shows the awake node-round mass that fell there. One row, any n.
-func (l *RoundLog) Timeline(width int) string {
-	if width < 1 {
-		width = 60
-	}
-	var maxRound int64 = 1
-	if n := len(l.Stats); n > 0 {
-		maxRound = l.Stats[n-1].Round + 1
-	}
-	counts := make([]int, width)
-	for _, st := range l.Stats {
-		b := int(st.Round * int64(width) / maxRound)
-		if b >= width {
-			b = width - 1
-		}
-		counts[b] += st.Awake
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "rounds 0..%d, %d per cell\n", maxRound-1, (maxRound+int64(width)-1)/int64(width))
-	fmt.Fprintf(&b, " awake |%s|\n", densityRow(counts))
-	return b.String()
-}
-
-// Summary returns a one-paragraph description of the round log.
-func (l *RoundLog) Summary() string {
-	if len(l.Stats) == 0 {
-		return "no rounds observed"
-	}
-	sent, delivered, _, awake := l.Totals()
-	peakRound, peak := l.PeakAwake()
-	return fmt.Sprintf("%d executed rounds over horizon %d; peak %d awake at round %d; %d awake node-rounds; %d messages sent, %d delivered",
-		len(l.Stats), l.Stats[len(l.Stats)-1].Round+1, peak, peakRound, awake, sent, delivered)
 }

@@ -89,20 +89,30 @@ func (gs GraphSpec) validate() error {
 		}
 	}
 	if m, ok := gs.edges(strings.ToLower(family)); ok && m > graph.MaxEdges {
-		return fmt.Errorf("family %q at n=%d has %.0f edges, over the simulator's limit of %d", family, gs.N, m, graph.MaxEdges)
+		return fmt.Errorf("family %q at n=%d has up to %.0f edges, over the simulator's limit of %d", family, gs.N, m, graph.MaxEdges)
 	}
 	return nil
 }
 
-// edges returns the edge count of the graph Generate builds for a
-// deterministic-size family (for regular, the stub pairing's count
-// before loops and duplicates are repaired), in float64 so huge node
-// counts cannot overflow. ok is false for the random-size families
-// gnp, geometric and powerlaw.
+// edges bounds the edge count of the graph Generate builds, in
+// float64 so huge node counts cannot overflow. For the
+// deterministic-size families the count is exact (for regular, the
+// stub pairing's count before loops and duplicates are repaired). For
+// the random-size families it bounds what the generator preallocates
+// and, with high probability, what it draws. gnp and geometric take
+// GNP's own headroom, 1.1× the expected count plus 16 (for geometric
+// the expected count is πr² of all pairs, ignoring the boundary loss);
+// powerlaw attaches at most d edges per node. ok is false only for an
+// unknown family.
 func (gs GraphSpec) edges(family string) (m float64, ok bool) {
 	n := float64(gs.N)
 	if gs.N == 0 {
 		n = 1024
+	}
+	pairs := n * (n - 1) / 2
+	d := float64(gs.Degree)
+	if d == 0 {
+		d = 4
 	}
 	// side is the side of the square grid or torus Generate rounds n
 	// up to.
@@ -111,8 +121,25 @@ func (gs GraphSpec) edges(family string) (m float64, ok bool) {
 		side++
 	}
 	switch family {
+	case "gnp":
+		p := gs.P
+		if p == 0 {
+			p = 4 / n
+		}
+		if p >= 1 {
+			return pairs, true
+		}
+		return 1.1*p*pairs + 16, true
+	case "geometric":
+		r := gs.Radius
+		if r == 0 {
+			r = 0.1
+		}
+		return math.Min(pairs, 1.1*math.Pi*r*r*pairs+16), true
+	case "powerlaw":
+		return n * d, true
 	case "complete":
-		return n * (n - 1) / 2, true
+		return pairs, true
 	case "hypercube":
 		dim := math.Ceil(math.Log2(n))
 		return dim * math.Exp2(dim-1), true
@@ -125,10 +152,6 @@ func (gs GraphSpec) edges(family string) (m float64, ok bool) {
 	case "grid":
 		return 2 * side * (side - 1), true
 	case "regular":
-		d := float64(gs.Degree)
-		if d == 0 {
-			d = 4
-		}
 		return n * d / 2, true
 	case "cycle":
 		if n >= 3 {

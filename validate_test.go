@@ -95,6 +95,9 @@ func TestValidateBoundsGraphSize(t *testing.T) {
 		{Family: "hypercube", N: 1 << 31},
 		{Family: "path", N: 1 << 31},
 		{Family: "regular", N: 1 << 28, Degree: 9},
+		{Family: "gnp", N: 70_000, P: 0.99},
+		{Family: "geometric", N: 100_000, Radius: 0.5},
+		{Family: "powerlaw", N: 1 << 28, Degree: 8},
 	} {
 		err := awakemis.Spec{Task: "luby", Graph: gs}.Validate()
 		if !errors.Is(err, awakemis.ErrInvalidSpec) || !strings.Contains(err.Error(), "edges") {
@@ -103,6 +106,11 @@ func TestValidateBoundsGraphSize(t *testing.T) {
 	}
 	if err := (awakemis.Spec{Task: "luby", Graph: awakemis.GraphSpec{Family: "complete", N: 46_000}}).Validate(); err != nil {
 		t.Errorf("complete n=46000 fits the limit but was rejected: %v", err)
+	}
+	for _, family := range []string{"gnp", "geometric", "powerlaw"} {
+		if err := (awakemis.Spec{Task: "luby", Graph: awakemis.GraphSpec{Family: family}}).Validate(); err != nil {
+			t.Errorf("default-size %s was rejected: %v", family, err)
+		}
 	}
 }
 
@@ -132,6 +140,29 @@ func TestEdgeBoundIsExact(t *testing.T) {
 			}
 			if float64(g.M()) != m {
 				t.Errorf("%s n=%d: bound %.0f, generated %d edges", family, n, m, g.M())
+			}
+		}
+	}
+}
+
+// TestRandomEdgeBoundHolds checks that the bound Validate uses for the
+// random-size families is an upper bound on the graphs Generate draws
+// at the family defaults.
+func TestRandomEdgeBoundHolds(t *testing.T) {
+	for _, family := range []string{"gnp", "geometric", "powerlaw"} {
+		for _, n := range []int{64, 100, 1000} {
+			m, ok := awakemis.GraphSpec{Family: family, N: n}.EdgeBound()
+			if !ok {
+				t.Fatalf("%s: no edge bound", family)
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				g, err := awakemis.Generate(family, awakemis.GenOptions{N: n, Seed: seed})
+				if err != nil {
+					t.Fatalf("%s n=%d seed=%d: %v", family, n, seed, err)
+				}
+				if float64(g.M()) > m {
+					t.Errorf("%s n=%d seed=%d: %d edges over the bound %.0f", family, n, seed, g.M(), m)
+				}
 			}
 		}
 	}
