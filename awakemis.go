@@ -13,27 +13,25 @@
 // compares against, and the §7 extensions to (Δ+1)-coloring and
 // maximal matching.
 //
-// Every problem is a registered Task; runs produce a machine-readable
-// Report, and a Runner executes batches of Specs concurrently with
-// deterministic seed derivation. Quick start:
+// Every problem is a registered Task, and every run goes through one
+// entry point, Run(ctx, spec, ...RunOption), which returns a
+// machine-readable Report whose output has been verified. Functional
+// options select a graph already in hand (WithGraph), worker budgets
+// (WithWorkers), per-round observers (WithObserver), and trial batches
+// (WithVectorizedTrials) that execute all replications of a study cell
+// in one merged pass. Every run is R ≥ 1 lanes of one engine pass; a
+// plain spec is one lane. A Runner executes batches of Specs
+// concurrently with deterministic seed derivation, and a StudyRunner
+// sweeps a grid of them. Quick start:
 //
 //	g := awakemis.GNP(1024, 0.004, 1)
-//	rep, err := awakemis.RunTask(g, "awake-mis", awakemis.Options{Seed: 1})
+//	spec := awakemis.Spec{Task: "awake-mis", Options: awakemis.Options{Seed: 1}}
+//	rep, err := awakemis.Run(ctx, spec, awakemis.WithGraph(g))
 //	// rep.Output.InMIS is a verified MIS; rep.Metrics.MaxAwake is
 //	// O(log log n); rep.JSON() is the wire form.
-//
-// Spec-driven execution goes through the single entry point
-// Run(ctx, spec, ...RunOption): functional options select worker
-// budgets (WithWorkers), per-round observers (WithObserver), and
-// trial batches (WithVectorizedTrials) that execute all replications
-// of a study cell in one merged pass. Every run is R ≥ 1 lanes of one
-// engine pass; a plain spec is one lane. RunTask runs a task on a
-// graph already in hand, and RunMIS returns the typed MIS view.
 package awakemis
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -41,11 +39,9 @@ import (
 	"awakemis/internal/core"
 	"awakemis/internal/rng"
 	"awakemis/internal/sim"
-	"awakemis/internal/trace"
 )
 
-// Algorithm selects a distributed MIS algorithm (a Task name; Run
-// accepts exactly the tasks that produce an MIS).
+// Algorithm names a distributed MIS algorithm: a Task of Kind "mis".
 type Algorithm string
 
 const (
@@ -68,19 +64,13 @@ const (
 	LDTMIS Algorithm = "ldt-mis"
 )
 
-// Task names for the §7 extensions (run them with RunTask or Run).
+// Task names for the §7 extensions.
 const (
 	// TaskColoring is greedy (Δ+1)-coloring in O(log n) awake rounds.
 	TaskColoring = "coloring"
 	// TaskMatching is maximal matching with early-exit awake complexity.
 	TaskMatching = "matching"
 )
-
-// Algorithms lists every MIS algorithm (the tasks Run accepts). See
-// Tasks for the full registry including coloring and matching.
-func Algorithms() []Algorithm {
-	return []Algorithm{AwakeMIS, AwakeMISRound, Luby, NaiveGreedy, VTMIS, LDTMIS}
-}
 
 // Engine names the simulation runtime a Report records. There is one:
 // EngineStepped, the vector engine of internal/sim, which runs every
@@ -126,10 +116,6 @@ type Options struct {
 	// the Report (Report.RoundSummary). Unlike Trace it affects report
 	// bytes, so it participates in spec canonicalization and caching.
 	RoundSummary bool `json:"round_summary,omitempty"`
-	// Observer, if non-nil, receives one RoundStat per executed round.
-	// Local-only: it is never serialized and never affects results or
-	// report bytes.
-	Observer RoundObserver `json:"-"`
 }
 
 // Metrics reports the complexity measures of a run (§1.3–1.4).
@@ -203,58 +189,6 @@ func fromSim(m *sim.Metrics) Metrics {
 		BitsSent:       m.BitsSent,
 		MaxMessageBits: m.MaxMessageBits,
 	}
-}
-
-// Result is an MIS algorithm's output (the typed view Run returns; the
-// registry-level envelope is Report).
-type Result struct {
-	// InMIS[v] reports whether node v joined the MIS.
-	InMIS []bool
-	// Metrics holds the run's complexity measures.
-	Metrics Metrics
-
-	trace *trace.Collector
-}
-
-// Timeline renders an ASCII awake-density timeline of the k busiest
-// nodes (requires Options.Trace; otherwise returns a notice).
-func (r *Result) Timeline(k, width int) string {
-	if r.trace == nil {
-		return "tracing disabled: set Options.Trace\n"
-	}
-	return r.trace.Timeline(r.trace.BusiestNodes(k), width)
-}
-
-// TraceSummary describes the recorded trace (requires Options.Trace).
-func (r *Result) TraceSummary() string {
-	if r.trace == nil {
-		return "tracing disabled: set Options.Trace"
-	}
-	return r.trace.Summary()
-}
-
-// RunMIS executes the selected MIS algorithm on g and returns its MIS
-// and metrics; it dispatches through the task registry (RunTask is the
-// registry-level equivalent and also covers coloring and matching).
-// The output is always verified to be a maximal independent set before
-// returning. For spec-driven execution — serializable inputs, worker
-// budgets, vectorized trial batches — use Run.
-func RunMIS(g *Graph, algo Algorithm, opt Options) (*Result, error) {
-	return RunMISContext(context.Background(), g, algo, opt)
-}
-
-// RunMISContext is RunMIS under a context: cancellation or a missed
-// deadline aborts the simulation at the next round boundary.
-func RunMISContext(ctx context.Context, g *Graph, algo Algorithm, opt Options) (*Result, error) {
-	// Reject non-MIS tasks before spending a simulation on them.
-	if t, ok := TaskByName(string(algo)); ok && t.Kind != "mis" {
-		return nil, fmt.Errorf("awakemis: task %q does not compute an MIS; use RunTask", algo)
-	}
-	rep, err := RunTaskContext(ctx, g, string(algo), opt)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{InMIS: rep.Output.InMIS, Metrics: rep.Metrics, trace: rep.trace}, nil
 }
 
 // Verify checks that inMIS is a maximal independent set of g.

@@ -1,10 +1,16 @@
 package awakemis
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// runOn runs task on g, a graph in hand, through Run.
+func runOn(g *Graph, task string, opt Options) (*Report, error) {
+	return Run(context.Background(), Spec{Task: task, Options: opt}, WithGraph(g))
+}
 
 func TestRunAllAlgorithmsProduceValidMIS(t *testing.T) {
 	graphs := map[string]*Graph{
@@ -14,13 +20,16 @@ func TestRunAllAlgorithmsProduceValidMIS(t *testing.T) {
 		"geo":   RandomGeometric(60, 0.2, 3),
 	}
 	for gname, g := range graphs {
-		for _, algo := range Algorithms() {
-			t.Run(gname+"/"+string(algo), func(t *testing.T) {
-				res, err := RunMIS(g, algo, Options{Seed: 7, Strict: true})
+		for _, task := range Tasks() {
+			if task.Kind != "mis" {
+				continue
+			}
+			t.Run(gname+"/"+task.Name, func(t *testing.T) {
+				res, err := runOn(g, task.Name, Options{Seed: 7, Strict: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := Verify(g, res.InMIS); err != nil {
+				if err := Verify(g, res.Output.InMIS); err != nil {
 					t.Fatal(err)
 				}
 				if res.Metrics.MaxAwake < 1 || res.Metrics.Rounds < 1 {
@@ -35,7 +44,7 @@ func TestRunAllAlgorithmsProduceValidMIS(t *testing.T) {
 }
 
 func TestRunUnknownAlgorithm(t *testing.T) {
-	if _, err := RunMIS(Cycle(4), Algorithm("bogus"), Options{}); err == nil {
+	if _, err := runOn(Cycle(4), "bogus", Options{}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -46,7 +55,7 @@ func TestAwakeMISBeatsLubyGrowth(t *testing.T) {
 	small, large := 64, 1024
 	awake := func(algo Algorithm, n int) int64 {
 		g := GNP(n, 4/float64(n), int64(n))
-		res, err := RunMIS(g, algo, Options{Seed: int64(n)})
+		res, err := runOn(g, string(algo), Options{Seed: int64(n)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,16 +135,16 @@ func TestGeneratorsProduceExpectedSizes(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	g := GNP(50, 0.08, 9)
-	a, err := RunMIS(g, AwakeMIS, Options{Seed: 3})
+	a, err := runOn(g, string(AwakeMIS), Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMIS(g, AwakeMIS, Options{Seed: 3})
+	b, err := runOn(g, string(AwakeMIS), Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := range a.InMIS {
-		if a.InMIS[v] != b.InMIS[v] {
+	for v := range a.Output.InMIS {
+		if a.Output.InMIS[v] != b.Output.InMIS[v] {
 			t.Fatalf("replay diverged at %d", v)
 		}
 	}
@@ -148,11 +157,11 @@ func TestQuickFacadeAlwaysValid(t *testing.T) {
 	f := func(seed int64, nn uint8) bool {
 		n := int(nn%30) + 2
 		g := GNP(n, 0.2, seed)
-		res, err := RunMIS(g, AwakeMIS, Options{Seed: seed})
+		res, err := runOn(g, string(AwakeMIS), Options{Seed: seed})
 		if err != nil {
 			return false
 		}
-		return Verify(g, res.InMIS) == nil
+		return Verify(g, res.Output.InMIS) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)

@@ -30,7 +30,7 @@ func benchRun(b *testing.B, algo awakemis.Algorithm, n int) {
 	var last awakemis.Metrics
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := awakemis.RunMIS(g, algo, awakemis.Options{Seed: int64(i)})
+		res, err := runOn(g, string(algo), awakemis.Options{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,8 +98,11 @@ func BenchmarkLDTMIS(b *testing.B) {
 			var last *sim.Metrics
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, m, err := ldtmis.Run(g, ids, np, ldtmis.VariantAwake,
-					sim.Config{Seed: int64(i), N: 1 << 16})
+				sp, _, err := ldtmis.Prepare(g, ids, np, ldtmis.VariantAwake)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m, err := sim.RunStep(g, sp, sim.Config{Seed: int64(i), N: 1 << 16})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -200,7 +203,7 @@ func BenchmarkColoring(b *testing.B) {
 			var last awakemis.Metrics
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := awakemis.RunTask(g, awakemis.TaskColoring, awakemis.Options{Seed: int64(i)})
+				res, err := runOn(g, awakemis.TaskColoring, awakemis.Options{Seed: int64(i)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -221,7 +224,7 @@ func BenchmarkAblationNP(b *testing.B) {
 			var last awakemis.Metrics
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := awakemis.RunMIS(g, awakemis.AwakeMIS, awakemis.Options{
+				res, err := runOn(g, string(awakemis.AwakeMIS), awakemis.Options{
 					Seed:   int64(i),
 					Params: core.Params{C1: 4, DeltaPrime: 8, NP: np},
 				})
@@ -245,7 +248,7 @@ func BenchmarkMatching(b *testing.B) {
 			var last awakemis.Metrics
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := awakemis.RunTask(g, awakemis.TaskMatching, awakemis.Options{Seed: int64(i)})
+				res, err := runOn(g, awakemis.TaskMatching, awakemis.Options{Seed: int64(i)})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -700,8 +700,8 @@ func (c *Client) WaitStudy(ctx context.Context, id string, onPoll func(*Study)) 
 }
 
 // RunStudy submits the study and waits for its artifact: the remote
-// equivalent of awakemis.RunStudy. A failed or canceled study is an
-// error.
+// equivalent of awakemis.StudyRunner.Run. A failed or canceled study
+// is an error.
 func (c *Client) RunStudy(ctx context.Context, ss awakemis.StudySpec) (*awakemis.StudyResult, error) {
 	study, err := c.SubmitStudy(ctx, ss)
 	if err != nil {

@@ -149,18 +149,19 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	opt := awakemis.Options{
+	spec := awakemis.Spec{Task: *algo, Options: awakemis.Options{
 		Seed: *seed, Strict: *strict, Trace: *timeline > 0,
 		Workers: *workers, RoundSummary: *roundSum,
-	}
+	}}
+	opts := []awakemis.RunOption{awakemis.WithGraph(g)}
 	var rl *runlogWriter
 	if *runlog != "" {
 		if rl, err = openRunlog(*runlog); err != nil {
 			fail(err)
 		}
-		opt.Observer = rl
+		opts = append(opts, awakemis.WithObserver(rl))
 	}
-	rep, err := awakemis.RunTaskContext(ctx, g, *algo, opt)
+	rep, err := awakemis.Run(ctx, spec, opts...)
 	if rl != nil {
 		if cerr := rl.close(); cerr != nil && err == nil {
 			err = cerr

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,11 +45,31 @@ var digestGraphs = []awakemis.GraphSpec{
 
 // runDigests computes every digest of the grid: each registered task ×
 // family × seed as a plain run, plus one 3-trial vectorized batch per
-// task on a fixed graph, plus every run of the cross-engine grid.
+// task on a fixed graph, plus every run of the cross-engine grid. The
+// plain runs and the batches also run on the generated graph handed
+// over WithGraph, and must hash the same as their spec-built twins.
 func runDigests(t *testing.T) map[string]string {
 	t.Helper()
 	ctx := context.Background()
 	got := map[string]string{}
+	// onGraph runs spec's task on its generated graph via WithGraph.
+	onGraph := func(spec awakemis.Spec, seed int64, opts ...awakemis.RunOption) (*awakemis.Report, error) {
+		gs := spec.Graph
+		g, err := awakemis.Generate(gs.Family, awakemis.GenOptions{N: gs.N, Seed: seed})
+		if err != nil {
+			return nil, err
+		}
+		spec.Graph = awakemis.GraphSpec{}
+		return awakemis.Run(ctx, spec, append(opts, awakemis.WithGraph(g))...)
+	}
+	twin := func(key string, rep *awakemis.Report, err error) {
+		if err != nil {
+			t.Fatalf("%s via WithGraph: %v", key, err)
+		}
+		if d := digestReport(t, rep); d != got[key] {
+			t.Errorf("%s: WithGraph digest %s, spec-built %s", key, d, got[key])
+		}
+	}
 	for _, task := range awakemis.TaskNames() {
 		for _, gs := range digestGraphs {
 			for _, seed := range []int64{1, 17} {
@@ -57,7 +78,10 @@ func runDigests(t *testing.T) map[string]string {
 				if err != nil {
 					t.Fatalf("%s/%s seed %d: %v", task, gs.Family, seed, err)
 				}
-				got[fmt.Sprintf("%s/%s/n=%d/seed=%d", task, gs.Family, gs.N, seed)] = digestReport(t, rep)
+				key := fmt.Sprintf("%s/%s/n=%d/seed=%d", task, gs.Family, gs.N, seed)
+				got[key] = digestReport(t, rep)
+				rep, err = onGraph(spec, seed)
+				twin(key, rep, err)
 			}
 		}
 
@@ -70,6 +94,15 @@ func runDigests(t *testing.T) map[string]string {
 		for i, rep := range out {
 			got[fmt.Sprintf("%s/vector/gnp/n=80/trial=%d", task, i)] = digestReport(t, rep)
 		}
+		_, err := onGraph(spec, spec.Graph.Seed, awakemis.WithVectorizedTrials(trials, out))
+		for i, rep := range out {
+			twin(fmt.Sprintf("%s/vector/gnp/n=80/trial=%d", task, i), rep, err)
+		}
+	}
+	// Two sources for one input graph is a caller bug.
+	spec := awakemis.Spec{Task: "luby", Graph: digestGraphs[0]}
+	if _, err := awakemis.Run(ctx, spec, awakemis.WithGraph(awakemis.Cycle(8))); !errors.Is(err, awakemis.ErrInvalidSpec) {
+		t.Errorf("WithGraph with a non-zero spec graph: err = %v, want ErrInvalidSpec", err)
 	}
 	for _, c := range equivGrid() {
 		for _, seed := range c.seeds {

@@ -58,8 +58,10 @@ var equivGraphs = map[string]awakemis.GraphSpec{
 func algorithmCells() []equivCell {
 	var cells []equivCell
 	for gname, gs := range equivGraphs {
-		for _, algo := range awakemis.Algorithms() {
-			cells = append(cells, equivCell{gname, string(algo), gs, []int64{1, 17, 33}})
+		for _, task := range awakemis.Tasks() {
+			if task.Kind == "mis" {
+				cells = append(cells, equivCell{gname, task.Name, gs, []int64{1, 17, 33}})
+			}
 		}
 	}
 	return cells

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,7 +20,8 @@ func main() {
 	g := awakemis.RandomGeometric(1500, 0.08, 3)
 	fmt.Println("interference graph:", g)
 
-	rep, err := awakemis.RunTask(g, awakemis.TaskColoring, awakemis.Options{Seed: 3, Strict: true})
+	spec := awakemis.Spec{Task: awakemis.TaskColoring, Options: awakemis.Options{Seed: 3, Strict: true}}
+	rep, err := awakemis.Run(context.Background(), spec, awakemis.WithGraph(g))
 	if err != nil {
 		log.Fatal(err)
 	}

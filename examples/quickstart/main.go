@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,10 +22,11 @@ func main() {
 	g := awakemis.GNP(1024, 4.0/1024, 1)
 	fmt.Println("\ninput:", g)
 
-	rep, err := awakemis.RunTask(g, "awake-mis", awakemis.Options{
+	spec := awakemis.Spec{Task: "awake-mis", Options: awakemis.Options{
 		Seed:   42,
 		Strict: true, // enforce the O(log n)-bit CONGEST bound
-	})
+	}}
+	rep, err := awakemis.Run(context.Background(), spec, awakemis.WithGraph(g))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,7 +41,8 @@ func main() {
 	defer cancel()
 
 	for _, task := range []string{"luby", "awake-mis"} {
-		rep, err := awakemis.RunTaskContext(ctx, g, task, awakemis.Options{Seed: 7})
+		spec := awakemis.Spec{Task: task, Options: awakemis.Options{Seed: 7}}
+		rep, err := awakemis.Run(ctx, spec, awakemis.WithGraph(g))
 		if err != nil {
 			log.Fatal(err)
 		}

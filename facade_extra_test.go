@@ -14,7 +14,7 @@ func TestColoringTask(t *testing.T) {
 		"bipartite": CompleteBipartite(8, 9),
 	} {
 		t.Run(name, func(t *testing.T) {
-			res, err := RunTask(g, TaskColoring, Options{Seed: 5, Strict: true})
+			res, err := runOn(g, TaskColoring, Options{Seed: 5, Strict: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func TestMatchingTask(t *testing.T) {
 		"torus": Torus(6, 6),
 	} {
 		t.Run(name, func(t *testing.T) {
-			res, err := RunTask(g, TaskMatching, Options{Seed: 6, Strict: true})
+			res, err := runOn(g, TaskMatching, Options{Seed: 6, Strict: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestGraphReadWrite(t *testing.T) {
 
 func TestTraceThroughFacade(t *testing.T) {
 	g := Cycle(16)
-	res, err := RunMIS(g, AwakeMIS, Options{Seed: 2, Trace: true})
+	res, err := runOn(g, string(AwakeMIS), Options{Seed: 2, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestTraceThroughFacade(t *testing.T) {
 		t.Errorf("timeline:\n%s", tl)
 	}
 	// Without tracing, the accessors degrade gracefully.
-	res2, err := RunMIS(g, Luby, Options{Seed: 2})
+	res2, err := runOn(g, string(Luby), Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestAwakeMISOnAdversarialFamilies(t *testing.T) {
 		"torus":    Torus(8, 8),
 	} {
 		t.Run(name, func(t *testing.T) {
-			res, err := RunMIS(g, AwakeMIS, Options{Seed: 9, Strict: true})
+			res, err := runOn(g, string(AwakeMIS), Options{Seed: 9, Strict: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Verify(g, res.InMIS); err != nil {
+			if err := Verify(g, res.Output.InMIS); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -164,11 +164,11 @@ func TestVertexRelabelingInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range []Algorithm{AwakeMIS, Luby, VTMIS, LDTMIS} {
-		res, err := RunMIS(relabeled, algo, Options{Seed: 4, Strict: true})
+		res, err := runOn(relabeled, string(algo), Options{Seed: 4, Strict: true})
 		if err != nil {
 			t.Fatalf("%s on relabeled graph: %v", algo, err)
 		}
-		if err := Verify(relabeled, res.InMIS); err != nil {
+		if err := Verify(relabeled, res.Output.InMIS); err != nil {
 			t.Fatalf("%s on relabeled graph: %v", algo, err)
 		}
 	}

@@ -13,11 +13,11 @@ func TestGenerateAllFamilies(t *testing.T) {
 				t.Errorf("family %s: n = %d, want >= 40", fam, g.N())
 			}
 			// Every generated graph is a usable algorithm input.
-			res, err := RunMIS(g, Luby, Options{Seed: 1})
+			res, err := runOn(g, string(Luby), Options{Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Verify(g, res.InMIS); err != nil {
+			if err := Verify(g, res.Output.InMIS); err != nil {
 				t.Fatal(err)
 			}
 		})

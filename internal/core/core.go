@@ -18,8 +18,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"math"
 
 	"awakemis/internal/graph"
@@ -156,22 +154,6 @@ type Result struct {
 	InMIS []bool
 	// Batch[v] is the phase index node v drew (diagnostics).
 	Batch []int
-}
-
-// Run executes Awake-MIS on g.
-func Run(g *graph.Graph, params Params, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	return RunContext(context.Background(), g, params, cfg)
-}
-
-// RunContext is Run under a context; cancellation aborts the
-// simulation at the next round boundary.
-func RunContext(ctx context.Context, g *graph.Graph, params Params, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	sp, res := Prepare(g, params, &cfg)
-	m, err := sim.RunStepContext(ctx, g, sp, cfg)
-	if err != nil {
-		return nil, m, fmt.Errorf("core: %w", err)
-	}
-	return res, m, nil
 }
 
 // Prepare fixes the run's schedule from params and cfg — filling in

@@ -11,6 +11,13 @@ import (
 	"awakemis/internal/verify"
 )
 
+// runStep prepares Awake-MIS on g and runs it on the engine.
+func runStep(g *graph.Graph, params Params, cfg sim.Config) (*Result, *sim.Metrics, error) {
+	sp, res := Prepare(g, params, &cfg)
+	m, err := sim.RunStep(g, sp, cfg)
+	return res, m, err
+}
+
 func testParams() Params {
 	// Tighter-than-default constants keep test runtimes low while still
 	// satisfying every high-probability bound at these sizes.
@@ -33,7 +40,7 @@ func TestAwakeMISValidOnFamilies(t *testing.T) {
 	}
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
-			res, m, err := Run(g, testParams(), sim.Config{Seed: 11, Strict: true})
+			res, m, err := runStep(g, testParams(), sim.Config{Seed: 11, Strict: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +59,7 @@ func TestAwakeMISRoundVariant(t *testing.T) {
 	g := graph.GNP(60, 0.06, rng)
 	p := testParams()
 	p.Variant = ldtmis.VariantRound
-	res, _, err := Run(g, p, sim.Config{Seed: 13, Strict: true})
+	res, _, err := runStep(g, p, sim.Config{Seed: 13, Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +72,7 @@ func TestAwakeMISDenseGraph(t *testing.T) {
 	// Dense graphs stress the batching: nearly everything is decided by
 	// the first few phases' MIS neighborhoods.
 	g := graph.Complete(30)
-	res, _, err := Run(g, testParams(), sim.Config{Seed: 17, Strict: true})
+	res, _, err := runStep(g, testParams(), sim.Config{Seed: 17, Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +96,7 @@ func TestTheorem13AwakeComplexity(t *testing.T) {
 	for _, n := range []int{64, 256} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		g := graph.GNP(n, 4/float64(n), rng)
-		_, m, err := Run(g, testParams(), sim.Config{Seed: int64(n), Strict: true})
+		_, m, err := runStep(g, testParams(), sim.Config{Seed: int64(n), Strict: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +190,7 @@ func TestWithDefaults(t *testing.T) {
 func TestAwakeMISDeterministicReplay(t *testing.T) {
 	g := graph.Cycle(32)
 	run := func() *Result {
-		res, _, err := Run(g, testParams(), sim.Config{Seed: 23})
+		res, _, err := runStep(g, testParams(), sim.Config{Seed: 23})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +207,7 @@ func TestAwakeMISDeterministicReplay(t *testing.T) {
 func TestAwakeMISRespectsCongest(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.GNP(50, 0.1, rng)
-	_, m, err := Run(g, testParams(), sim.Config{Seed: 29, Strict: true})
+	_, m, err := runStep(g, testParams(), sim.Config{Seed: 29, Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}

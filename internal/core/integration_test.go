@@ -22,7 +22,7 @@ func TestAwakeMISOnStructuredFamilies(t *testing.T) {
 	}
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
-			res, _, err := Run(g, testParams(), sim.Config{Seed: 31, Strict: true})
+			res, _, err := runStep(g, testParams(), sim.Config{Seed: 31, Strict: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,7 +44,7 @@ func TestAwakeMISRoundVariantOnFamilies(t *testing.T) {
 		"barbell": graph.Barbell(6, 4),
 	} {
 		t.Run(name, func(t *testing.T) {
-			res, _, err := Run(g, p, sim.Config{Seed: 37, Strict: true})
+			res, _, err := runStep(g, p, sim.Config{Seed: 37, Strict: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +60,7 @@ func TestAwakeMISRoundVariantOnFamilies(t *testing.T) {
 func TestAwakeMISWithPolynomialBound(t *testing.T) {
 	g := graph.Cycle(50)
 	// Nodes believe the network may have up to n^2 = 2500 nodes.
-	res, m, err := Run(g, testParams(), sim.Config{Seed: 41, N: 2500, Strict: true})
+	res, m, err := runStep(g, testParams(), sim.Config{Seed: 41, N: 2500, Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestAwakeMISWithPolynomialBound(t *testing.T) {
 func TestBatchPhaseAssignmentsRecorded(t *testing.T) {
 	g := graph.Cycle(30)
 	params := testParams()
-	res, _, err := Run(g, params, sim.Config{Seed: 43})
+	res, _, err := runStep(g, params, sim.Config{Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestQuickAwakeMISRandomGraphs(t *testing.T) {
 		if roundVariant {
 			params.Variant = ldtmis.VariantRound
 		}
-		res, _, err := Run(g, params, sim.Config{Seed: seed})
+		res, _, err := runStep(g, params, sim.Config{Seed: seed})
 		if err != nil {
 			return false
 		}

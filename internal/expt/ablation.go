@@ -3,15 +3,12 @@ package expt
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
+	"awakemis"
 	"awakemis/internal/core"
-	"awakemis/internal/rng"
 	"awakemis/internal/sim"
 	"awakemis/internal/stats"
 	"awakemis/internal/verify"
-	"awakemis/internal/vtcolor"
-	"awakemis/internal/vtmatch"
 	"awakemis/internal/vtree"
 )
 
@@ -42,14 +39,12 @@ func runE10(o Options, w io.Writer) error {
 		for _, v := range k.vals {
 			params := k.set(base, v)
 			seed := o.Seed + int64(v)
-			g := workload(n, seed)
-			res, m, err := core.RunContext(o.ctx(), g, params, sim.Config{Seed: seed, Strict: true, Workers: o.Workers})
+			rep, err := o.run(string(awakemis.AwakeMIS), workload(n, seed),
+				awakemis.Options{Seed: seed, Strict: true, Params: params})
 			if err != nil {
 				return fmt.Errorf("ablation %s=%d: %w", k.name, v, err)
 			}
-			if err := verify.CheckMIS(g, res.InMIS); err != nil {
-				return fmt.Errorf("ablation %s=%d: %w", k.name, v, err)
-			}
+			m := rep.Metrics
 			sched := core.NewSchedule(n, params, sim.DefaultBandwidth(n))
 			tb.Add(k.name, v, m.MaxAwake, m.Rounds, m.ExecutedRounds, sched.TotalPhases)
 		}
@@ -69,21 +64,12 @@ func runE12(o Options, w io.Writer) error {
 	for _, n := range o.Sizes {
 		seed := o.Seed + int64(n)
 		g := workload(n, seed)
-		// Edge order from its own derived stream, decorrelated from the
-		// graph generator's.
-		perm := rand.New(rand.NewSource(rng.Derive(seed, "edge-perm", 0))).Perm(g.M())
-		ids := vtmatch.EdgeIDs{}
-		for i, e := range g.Edges() {
-			ids[e] = perm[i] + 1
-		}
-		res, m, err := vtmatch.RunContext(o.ctx(), g, ids, g.M(), sim.Config{Seed: seed, Strict: true, Workers: o.Workers})
+		rep, err := o.run(awakemis.TaskMatching, g, awakemis.Options{Seed: seed, Strict: true})
 		if err != nil {
 			return err
 		}
-		if err := verify.CheckMatching(g, res.MatchedWith); err != nil {
-			return err
-		}
-		tb.Add(n, g.M(), verify.MatchingSize(res.MatchedWith), m.MaxAwake, m.AvgAwake(), m.Rounds)
+		m := rep.Metrics
+		tb.Add(n, g.M(), verify.MatchingSize(rep.Output.MatchedWith), m.MaxAwake, m.AvgAwake, m.Rounds)
 	}
 	fmt.Fprint(w, tb)
 	return nil
@@ -99,21 +85,12 @@ func runE11(o Options, w io.Writer) error {
 	for _, n := range o.Sizes {
 		seed := o.Seed + int64(n)
 		g := workload(n, seed)
-		// ID permutation from its own derived stream, decorrelated from
-		// the graph generator's.
-		perm := rand.New(rand.NewSource(rng.Derive(seed, "perm-ids", 0))).Perm(n)
-		ids := make([]int, n)
-		for v, p := range perm {
-			ids[v] = p + 1
-		}
-		res, m, err := vtcolor.RunContext(o.ctx(), g, ids, n, sim.Config{Seed: seed, Strict: true, Workers: o.Workers})
+		rep, err := o.run(awakemis.TaskColoring, g, awakemis.Options{Seed: seed, Strict: true})
 		if err != nil {
 			return err
 		}
-		if err := verify.CheckColoring(g, res.Color); err != nil {
-			return err
-		}
-		tb.Add(n, g.MaxDegree(), verify.NumColors(res.Color), g.MaxDegree()+1,
+		m := rep.Metrics
+		tb.Add(n, g.MaxDegree(), verify.NumColors(rep.Output.Color), g.MaxDegree()+1,
 			m.MaxAwake, vtree.Depth(n)+2, m.Rounds)
 	}
 	fmt.Fprint(w, tb)

@@ -14,11 +14,9 @@ import (
 	"strings"
 
 	"awakemis"
-	"awakemis/internal/core"
 	"awakemis/internal/graph"
 	"awakemis/internal/greedy"
 	"awakemis/internal/ldtmis"
-	"awakemis/internal/luby"
 	"awakemis/internal/rng"
 	"awakemis/internal/sim"
 	"awakemis/internal/stats"
@@ -104,9 +102,28 @@ func ByID(id string) (Experiment, bool) {
 }
 
 // workload builds the standard experiment graph for a size.
-func workload(n int, seed int64) *graph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	return graph.GNP(n, 4/float64(n), rng)
+func workload(n int, seed int64) *awakemis.Graph {
+	return awakemis.GNP(n, 4/float64(n), seed)
+}
+
+// run executes task on g through awakemis.Run, which checks the output
+// against the task's verification oracle before returning.
+func (o Options) run(task string, g *awakemis.Graph, opt awakemis.Options) (*awakemis.Report, error) {
+	return awakemis.Run(o.ctx(), awakemis.Spec{Task: task, Options: opt},
+		awakemis.WithGraph(g), awakemis.WithWorkers(o.Workers))
+}
+
+// runPrepared runs a step program from a package's Prepare directly on
+// the engine, strict, and checks the MIS it leaves in inMIS. Only e3,
+// e4 and e9 come here: their ID spaces (I = 16·n, or 2⁴⁰ IDs with a
+// chosen n′ under N = 2¹⁶) are ones a Spec cannot express.
+func (o Options) runPrepared(g *graph.Graph, sp sim.StepProgram, inMIS []bool, cfg sim.Config) (*sim.Metrics, error) {
+	cfg.Strict, cfg.Workers = true, o.Workers
+	m, err := sim.RunStepContext(o.ctx(), g, sp, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return m, verify.CheckMIS(g, inMIS)
 }
 
 func runF1(o Options, w io.Writer) error {
@@ -124,9 +141,8 @@ func runF2(o Options, w io.Writer) error {
 	return nil
 }
 
-// sweepMIS runs an algorithm over the size sweep and prints the table.
-func sweepMIS(o Options, w io.Writer, name string,
-	run func(g *graph.Graph, n int, seed int64) (*sim.Metrics, []bool, error)) error {
+// sweepMIS runs an MIS task over the size sweep and prints the table.
+func sweepMIS(o Options, w io.Writer, task string) error {
 	o = o.withDefaults()
 	tb := &stats.Table{Header: []string{"n", "maxAwake", "avgAwake", "rounds", "execRounds", "messages"}}
 	var xs, ys []float64
@@ -134,16 +150,13 @@ func sweepMIS(o Options, w io.Writer, name string,
 		var maxAwake, avg, rounds, exec, msgs []float64
 		for trial := 0; trial < o.Trials; trial++ {
 			seed := o.Seed + int64(1000*n+trial)
-			g := workload(n, seed)
-			m, in, err := run(g, n, seed)
+			rep, err := o.run(task, workload(n, seed), awakemis.Options{Seed: seed, Strict: true})
 			if err != nil {
-				return fmt.Errorf("%s n=%d: %w", name, n, err)
+				return fmt.Errorf("%s n=%d: %w", task, n, err)
 			}
-			if err := verify.CheckMIS(g, in); err != nil {
-				return fmt.Errorf("%s n=%d: %w", name, n, err)
-			}
+			m := rep.Metrics
 			maxAwake = append(maxAwake, float64(m.MaxAwake))
-			avg = append(avg, m.AvgAwake())
+			avg = append(avg, m.AvgAwake)
 			rounds = append(rounds, float64(m.Rounds))
 			exec = append(exec, float64(m.ExecutedRounds))
 			msgs = append(msgs, float64(m.MessagesSent))
@@ -164,7 +177,7 @@ func sweepMIS(o Options, w io.Writer, name string,
 // the declarative replacement for this package's historical private
 // sweep loops. The study expands into Runner-backed concurrent specs,
 // aggregates per cell, and fits growth models with bootstrap CIs;
-// output verification happens inside RunTask as always.
+// output verification happens inside awakemis.Run as always.
 func runStudySweep(o Options, w io.Writer, tasks []string, sizes []int) error {
 	o = o.withDefaults()
 	if sizes == nil {
@@ -217,14 +230,7 @@ func runE2(o Options, w io.Writer) error {
 	fmt.Fprintln(w, "Awake-MIS round variant (Corollary 14, deterministic LDT construction).")
 	fmt.Fprintln(w, "Note: with the randomized ConstructAwake substitution (DESIGN.md §2),")
 	fmt.Fprintln(w, "the paper's round-complexity advantage of this variant inverts; awake stays O(log log n)·log* n.")
-	return sweepMIS(o, w, "awake-mis-round", func(g *graph.Graph, n int, seed int64) (*sim.Metrics, []bool, error) {
-		res, m, err := core.RunContext(o.ctx(), g, core.Params{Variant: ldtmis.VariantRound},
-			sim.Config{Seed: seed, Strict: true, Workers: o.Workers})
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, res.InMIS, nil
-	})
+	return sweepMIS(o, w, string(awakemis.AwakeMISRound))
 }
 
 func runE3(o Options, w io.Writer) error {
@@ -235,7 +241,9 @@ func runE3(o Options, w io.Writer) error {
 		for _, factor := range []int{1, 16} {
 			idBound := n * factor
 			seed := o.Seed + int64(idBound)
-			g := workload(n, seed)
+			// workload's graph in its internal form: the vt-mis task
+			// draws IDs from [1, n], so I = 16·n needs a direct run.
+			g := graph.GNP(n, 4/float64(n), rand.New(rand.NewSource(seed)))
 			// The ID permutation draws from its own derived stream, never
 			// the raw seed the graph generator consumed.
 			perm := rand.New(rand.NewSource(rng.Derive(seed, "perm-ids", 0))).Perm(idBound)[:n]
@@ -243,11 +251,12 @@ func runE3(o Options, w io.Writer) error {
 			for v := range ids {
 				ids[v] = perm[v] + 1
 			}
-			res, m, err := vtmis.RunContext(o.ctx(), g, ids, idBound, sim.Config{Seed: seed, Strict: true, Workers: o.Workers})
+			sp, res, err := vtmis.Prepare(g, ids, idBound)
 			if err != nil {
 				return err
 			}
-			if err := verify.CheckMIS(g, res.InMIS); err != nil {
+			m, err := o.runPrepared(g, sp, res.InMIS, sim.Config{Seed: seed})
+			if err != nil {
 				return err
 			}
 			tb.Add(idBound, n, m.MaxAwake, vtree.Depth(idBound)+2, m.Rounds)
@@ -269,12 +278,14 @@ func runE4(o Options, w io.Writer) error {
 		for _, v := range []ldtmis.Variant{ldtmis.VariantAwake, ldtmis.VariantRound} {
 			seed := o.Seed + int64(np) + int64(v)
 			g := graph.Cycle(np)
-			ids := rng.IDs40(np, seed)
-			res, m, err := ldtmis.RunContext(o.ctx(), g, ids, np, v, sim.Config{Seed: seed, N: 1 << 16, Strict: true, Workers: o.Workers})
+			// Standalone LDT-MIS with a chosen n′ under N = 2¹⁶ has no
+			// Spec, so it runs directly.
+			sp, res, err := ldtmis.Prepare(g, rng.IDs40(np, seed), np, v)
 			if err != nil {
 				return err
 			}
-			if err := verify.CheckMIS(g, res.InMIS); err != nil {
+			m, err := o.runPrepared(g, sp, res.InMIS, sim.Config{Seed: seed, N: 1 << 16})
+			if err != nil {
 				return err
 			}
 			tb.Add(np, v.String(), m.MaxAwake, m.Rounds, m.MessagesSent)
@@ -368,18 +379,14 @@ func runE8(o Options, w io.Writer) error {
 	for _, n := range o.Sizes {
 		seed := o.Seed + int64(n)
 		g := workload(n, seed)
-		lres, lm, err := luby.RunContext(o.ctx(), g, sim.Config{Seed: seed, Workers: o.Workers})
-		if err != nil {
-			return err
+		for _, task := range []awakemis.Algorithm{awakemis.Luby, awakemis.AwakeMIS} {
+			rep, err := o.run(string(task), g, awakemis.Options{Seed: seed})
+			if err != nil {
+				return err
+			}
+			m := rep.Metrics
+			tb.Add(n, string(task), m.AvgAwake, m.MaxAwake, float64(m.MaxAwake)/m.AvgAwake)
 		}
-		_ = lres
-		tb.Add(n, "luby", lm.AvgAwake(), lm.MaxAwake, float64(lm.MaxAwake)/lm.AvgAwake())
-		ares, am, err := core.RunContext(o.ctx(), g, core.Params{}, sim.Config{Seed: seed, Workers: o.Workers})
-		if err != nil {
-			return err
-		}
-		_ = ares
-		tb.Add(n, "awake-mis", am.AvgAwake(), am.MaxAwake, float64(am.MaxAwake)/am.AvgAwake())
 	}
 	fmt.Fprint(w, tb)
 	return nil
@@ -397,12 +404,13 @@ func runE9(o Options, w io.Writer) error {
 		for _, v := range []ldtmis.Variant{ldtmis.VariantAwake, ldtmis.VariantRound} {
 			seed := o.Seed + int64(np)
 			g := graph.Path(np)
-			ids := rng.IDs40(np, seed)
-			res, m, err := ldtmis.RunContext(o.ctx(), g, ids, np, v, sim.Config{Seed: seed, N: 1 << 16, Strict: true, Workers: o.Workers})
+			// As in e4: a chosen n′ under N = 2¹⁶ has no Spec.
+			sp, res, err := ldtmis.Prepare(g, rng.IDs40(np, seed), np, v)
 			if err != nil {
 				return err
 			}
-			if err := verify.CheckMIS(g, res.InMIS); err != nil {
+			m, err := o.runPrepared(g, sp, res.InMIS, sim.Config{Seed: seed, N: 1 << 16})
+			if err != nil {
 				return err
 			}
 			tb.Add(np, v.String(), m.MaxAwake, m.Rounds)

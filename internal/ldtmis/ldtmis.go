@@ -18,7 +18,6 @@
 package ldtmis
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -128,26 +127,11 @@ type Result struct {
 	NewID []int
 }
 
-// Run executes standalone LDT-MIS on g: every node participates, with
-// the provided unique IDs (from an arbitrarily large space) and a
-// common component-size bound np ≥ the largest component of g.
-func Run(g *graph.Graph, ids []int64, np int, v Variant, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	return RunContext(context.Background(), g, ids, np, v, cfg)
-}
-
-// RunContext is Run under a context; cancellation aborts the
-// simulation at the next round boundary.
-func RunContext(ctx context.Context, g *graph.Graph, ids []int64, np int, v Variant, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	sp, res, err := Prepare(g, ids, np, v)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := sim.RunStepContext(ctx, g, sp, cfg)
-	return res, m, err
-}
-
 // Prepare checks the IDs and returns standalone LDT-MIS's step program
-// for g and the Result it fills as the run completes.
+// for g and the Result it fills as the run completes. Every node
+// participates, with the provided unique IDs (from an arbitrarily large
+// space) and a common component-size bound np ≥ the largest component
+// of g.
 func Prepare(g *graph.Graph, ids []int64, np int, v Variant) (sim.StepProgram, *Result, error) {
 	if len(ids) != g.N() {
 		return nil, nil, fmt.Errorf("ldtmis: %d ids for %d nodes", len(ids), g.N())

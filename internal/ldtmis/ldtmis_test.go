@@ -11,6 +11,16 @@ import (
 	"awakemis/internal/vtree"
 )
 
+// runStep prepares standalone LDT-MIS on g and runs it on the engine.
+func runStep(g *graph.Graph, ids []int64, np int, v Variant, cfg sim.Config) (*Result, *sim.Metrics, error) {
+	sp, res, err := Prepare(g, ids, np, v)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := sim.RunStep(g, sp, cfg)
+	return res, m, err
+}
+
 // bigIDs draws unique IDs from a huge space (I ≫ n), the regime
 // LDT-MIS is designed for.
 func bigIDs(n int, rng *rand.Rand) []int64 {
@@ -95,7 +105,7 @@ func TestLDTMISAwakeVariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for name, g := range testGraphs(1) {
 		t.Run(name, func(t *testing.T) {
-			res, _, err := Run(g, bigIDs(g.N(), rng), maxComp(g), VariantAwake,
+			res, _, err := runStep(g, bigIDs(g.N(), rng), maxComp(g), VariantAwake,
 				sim.Config{Seed: 3, N: 1 << 16, Strict: true})
 			if err != nil {
 				t.Fatal(err)
@@ -109,7 +119,7 @@ func TestLDTMISRoundVariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for name, g := range testGraphs(2) {
 		t.Run(name, func(t *testing.T) {
-			res, _, err := Run(g, bigIDs(g.N(), rng), maxComp(g), VariantRound,
+			res, _, err := runStep(g, bigIDs(g.N(), rng), maxComp(g), VariantRound,
 				sim.Config{Seed: 4, N: 1 << 16, Strict: true})
 			if err != nil {
 				t.Fatal(err)
@@ -126,7 +136,7 @@ func TestLemma11AwakeComplexity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.Cycle(24)
 	np := 24
-	_, m, err := Run(g, bigIDs(g.N(), rng), np, VariantAwake,
+	_, m, err := runStep(g, bigIDs(g.N(), rng), np, VariantAwake,
 		sim.Config{Seed: 5, N: 1 << 16, Strict: true})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +163,7 @@ func TestSpanMatchesExecution(t *testing.T) {
 		g := graph.Path(7)
 		np := 7
 		rng := rand.New(rand.NewSource(6))
-		_, m, err := Run(g, bigIDs(7, rng), np, v, sim.Config{Seed: 7, N: 1 << 16})
+		_, m, err := runStep(g, bigIDs(7, rng), np, v, sim.Config{Seed: 7, N: 1 << 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,10 +176,10 @@ func TestSpanMatchesExecution(t *testing.T) {
 
 func TestRunRejectsBadInput(t *testing.T) {
 	g := graph.Path(3)
-	if _, _, err := Run(g, []int64{1, 2}, 3, VariantAwake, sim.Config{}); err == nil {
+	if _, _, err := runStep(g, []int64{1, 2}, 3, VariantAwake, sim.Config{}); err == nil {
 		t.Error("wrong id count accepted")
 	}
-	if _, _, err := Run(g, []int64{1, 2, 2}, 3, VariantAwake, sim.Config{}); err == nil {
+	if _, _, err := runStep(g, []int64{1, 2, 2}, 3, VariantAwake, sim.Config{}); err == nil {
 		t.Error("duplicate ids accepted")
 	}
 }
@@ -185,7 +195,7 @@ func TestDeterministicReplay(t *testing.T) {
 	g := graph.Cycle(10)
 	ids := bigIDs(10, rng)
 	run := func() *Result {
-		res, _, err := Run(g, ids, 10, VariantAwake, sim.Config{Seed: 9, N: 1 << 16})
+		res, _, err := runStep(g, ids, 10, VariantAwake, sim.Config{Seed: 9, N: 1 << 16})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 	"awakemis/internal/bitio"
 	"awakemis/internal/graph"
 	"awakemis/internal/sim"
-	"context"
 )
 
 // valueMsg carries a node's random value for one Luby iteration.
@@ -109,20 +108,6 @@ func (n *stepNode) OnWake(round int64, inbox []sim.Inbound, out *sim.Outbox) (in
 	n.val = n.env.Rand.Int63n(n.n4)
 	out.Broadcast(valueMsg{Value: n.val})
 	return round + 1, false
-}
-
-// Run executes Luby's algorithm on g and returns the MIS selection and
-// metrics.
-func Run(g *graph.Graph, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	return RunContext(context.Background(), g, cfg)
-}
-
-// RunContext is Run under a context; cancellation aborts the
-// simulation at the next round boundary.
-func RunContext(ctx context.Context, g *graph.Graph, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	sp, res := Prepare(g)
-	m, err := sim.RunStepContext(ctx, g, sp, cfg)
-	return res, m, err
 }
 
 // Prepare returns Luby's step program for g and the Result it fills

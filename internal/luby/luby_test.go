@@ -11,6 +11,13 @@ import (
 	"awakemis/internal/verify"
 )
 
+// runStep prepares Luby's algorithm on g and runs it on the engine.
+func runStep(g *graph.Graph, cfg sim.Config) (*Result, *sim.Metrics, error) {
+	sp, res := Prepare(g)
+	m, err := sim.RunStep(g, sp, cfg)
+	return res, m, err
+}
+
 func TestLubyValidMIS(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	graphs := map[string]*graph.Graph{
@@ -26,7 +33,7 @@ func TestLubyValidMIS(t *testing.T) {
 	}
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
-			res, m, err := Run(g, sim.Config{Seed: 7, Strict: true})
+			res, m, err := runStep(g, sim.Config{Seed: 7, Strict: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +49,7 @@ func TestLubyValidMIS(t *testing.T) {
 
 func TestLubyIsolatedNodesJoin(t *testing.T) {
 	g := graph.New(5)
-	res, m, err := Run(g, sim.Config{Seed: 2})
+	res, m, err := runStep(g, sim.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +69,7 @@ func TestLubyAwakeIsLogarithmic(t *testing.T) {
 	for _, n := range []int{64, 256, 1024} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		g := graph.GNP(n, 4/float64(n), rng)
-		_, m, err := Run(g, sim.Config{Seed: int64(n)})
+		_, m, err := runStep(g, sim.Config{Seed: int64(n)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,11 +82,11 @@ func TestLubyAwakeIsLogarithmic(t *testing.T) {
 
 func TestLubyDeterministicReplay(t *testing.T) {
 	g := graph.Cycle(30)
-	r1, m1, err := Run(g, sim.Config{Seed: 9})
+	r1, m1, err := runStep(g, sim.Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, m2, err := Run(g, sim.Config{Seed: 9})
+	r2, m2, err := runStep(g, sim.Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +105,7 @@ func TestQuickLubyAlwaysMIS(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nn%40) + 1
 		g := graph.GNP(n, 0.25, rng)
-		res, _, err := Run(g, sim.Config{Seed: seed, Strict: true})
+		res, _, err := runStep(g, sim.Config{Seed: seed, Strict: true})
 		if err != nil {
 			return false
 		}
@@ -111,7 +118,7 @@ func TestQuickLubyAlwaysMIS(t *testing.T) {
 
 func TestLubyCongestCompliant(t *testing.T) {
 	g := graph.Complete(20)
-	_, m, err := Run(g, sim.Config{Seed: 3, Strict: true})
+	_, m, err := runStep(g, sim.Config{Seed: 3, Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}

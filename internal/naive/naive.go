@@ -7,7 +7,6 @@
 package naive
 
 import (
-	"context"
 	"fmt"
 
 	"awakemis/internal/graph"
@@ -66,24 +65,9 @@ func (n *stepNode) OnWake(round int64, inbox []sim.Inbound, out *sim.Outbox) (in
 	return round + 1, false
 }
 
-// Run executes the naive algorithm with the given ID assignment.
-func Run(g *graph.Graph, ids []int, idBound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	return RunContext(context.Background(), g, ids, idBound, cfg)
-}
-
-// RunContext is Run under a context; cancellation aborts the
-// simulation at the next round boundary.
-func RunContext(ctx context.Context, g *graph.Graph, ids []int, idBound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	sp, res, err := Prepare(g, ids, idBound)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := sim.RunStepContext(ctx, g, sp, cfg)
-	return res, m, err
-}
-
-// Prepare checks the IDs and returns the step program for g and the
-// Result it fills as the run completes.
+// Prepare checks the IDs and returns the naive algorithm's step
+// program for g under that ID assignment, and the Result it fills as
+// the run completes.
 func Prepare(g *graph.Graph, ids []int, idBound int) (sim.StepProgram, *Result, error) {
 	if err := CheckIDs(g.N(), ids, idBound); err != nil {
 		return nil, nil, err

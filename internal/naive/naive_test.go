@@ -10,6 +10,16 @@ import (
 	"awakemis/internal/verify"
 )
 
+// runStep prepares the naive algorithm on g and runs it on the engine.
+func runStep(g *graph.Graph, ids []int, idBound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
+	sp, res, err := Prepare(g, ids, idBound)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := sim.RunStep(g, sp, cfg)
+	return res, m, err
+}
+
 // seqIDs assigns IDs by a random permutation: node v gets perm position.
 func seqIDs(n int, rng *rand.Rand) ([]int, []int) {
 	perm := rng.Perm(n)
@@ -31,7 +41,7 @@ func TestNaiveComputesLFMIS(t *testing.T) {
 		graph.Complete(8),
 	} {
 		ids, order := seqIDs(g.N(), rng)
-		res, m, err := Run(g, ids, g.N(), sim.Config{Seed: 5, Strict: true})
+		res, m, err := runStep(g, ids, g.N(), sim.Config{Seed: 5, Strict: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +68,7 @@ func TestNaiveSparseIDs(t *testing.T) {
 		ids[v] = perm[v] + 1
 		pairs = append(pairs, pair{ids[v], v})
 	}
-	res, m, err := Run(g, ids, bound, sim.Config{Seed: 3})
+	res, m, err := runStep(g, ids, bound, sim.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,16 +91,16 @@ func TestNaiveSparseIDs(t *testing.T) {
 
 func TestNaiveRejectsBadIDs(t *testing.T) {
 	g := graph.Path(3)
-	if _, _, err := Run(g, []int{1, 2}, 3, sim.Config{}); err == nil {
+	if _, _, err := runStep(g, []int{1, 2}, 3, sim.Config{}); err == nil {
 		t.Error("wrong length accepted")
 	}
-	if _, _, err := Run(g, []int{1, 2, 2}, 3, sim.Config{}); err == nil {
+	if _, _, err := runStep(g, []int{1, 2, 2}, 3, sim.Config{}); err == nil {
 		t.Error("duplicate accepted")
 	}
-	if _, _, err := Run(g, []int{0, 1, 2}, 3, sim.Config{}); err == nil {
+	if _, _, err := runStep(g, []int{0, 1, 2}, 3, sim.Config{}); err == nil {
 		t.Error("out-of-range accepted")
 	}
-	if _, _, err := Run(g, []int{1, 2, 9}, 3, sim.Config{}); err == nil {
+	if _, _, err := runStep(g, []int{1, 2, 9}, 3, sim.Config{}); err == nil {
 		t.Error("over-bound accepted")
 	}
 }
@@ -101,7 +111,7 @@ func TestQuickNaiveMatchesSequentialGreedy(t *testing.T) {
 		n := int(nn%25) + 1
 		g := graph.GNP(n, 0.3, rng)
 		ids, order := seqIDs(n, rng)
-		res, _, err := Run(g, ids, n, sim.Config{Seed: seed})
+		res, _, err := runStep(g, ids, n, sim.Config{Seed: seed})
 		if err != nil {
 			return false
 		}

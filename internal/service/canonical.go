@@ -43,12 +43,11 @@ import (
 //     regular/powerlaw, Radius = 0.1 for geometric).
 //   - Graph.Seed 0 resolves to Options.Seed (the substitution
 //     GraphSpec already performs at build time).
-//   - Options.Engine "" becomes "stepped". Options.Workers,
-//     Options.Trace, and Options.Observer are zeroed: worker counts
-//     never change results, and traces and observers never reach the
-//     wire. Options.RoundSummary is kept — it adds a (deterministic)
-//     block to the report bytes, so summarized and plain submissions
-//     cache separately.
+//   - Options.Engine "" becomes "stepped". Options.Workers and
+//     Options.Trace are zeroed: worker counts never change results,
+//     and traces never reach the wire. Options.RoundSummary is kept —
+//     it adds a (deterministic) block to the report bytes, so
+//     summarized and plain submissions cache separately.
 //   - Options.Seed is taken literally (Run runs seed 0 as seed 0),
 //     as are N, Bandwidth, Strict, MaxRounds, and Params. Name is kept
 //     verbatim: it is part of the Report, so differently named
@@ -101,7 +100,6 @@ func Canonicalize(spec awakemis.Spec) awakemis.Spec {
 	}
 	c.Options.Workers = 0
 	c.Options.Trace = false
-	c.Options.Observer = nil
 	return c
 }
 

@@ -109,7 +109,7 @@ func TestClusterStudyIdentityAndRestart(t *testing.T) {
 	spec := clusterStudy()
 	nSpecs := len(spec.Specs())
 
-	local, err := awakemis.RunStudyContext(ctx, spec)
+	local, err := (&awakemis.StudyRunner{}).Run(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestStudyDirectVsDaemon(t *testing.T) {
 	ctx := context.Background()
 
 	spec := e2eStudy()
-	local, err := awakemis.RunStudyContext(ctx, spec)
+	local, err := (&awakemis.StudyRunner{}).Run(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

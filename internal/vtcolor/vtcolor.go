@@ -14,7 +14,6 @@
 package vtcolor
 
 import (
-	"context"
 	"fmt"
 
 	"awakemis/internal/bitio"
@@ -100,26 +99,10 @@ func (n *stepNode) OnWake(round int64, inbox []sim.Inbound, out *sim.Outbox) (in
 	return int64(n.rounds[n.idx]), false // base 1: round r is sim round r
 }
 
-// Run executes the standalone coloring on g with unique IDs in
-// [1, idBound]; the algorithm occupies rounds 1..idBound after the
+// Prepare checks the IDs — unique, in [1, idBound] — and returns the
+// standalone coloring's step program for g and the Result it fills as
+// the run completes. The algorithm occupies rounds 1..idBound after the
 // model's initial all-awake round 0.
-func Run(g *graph.Graph, ids []int, idBound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	return RunContext(context.Background(), g, ids, idBound, cfg)
-}
-
-// RunContext is Run under a context; cancellation aborts the
-// simulation at the next round boundary.
-func RunContext(ctx context.Context, g *graph.Graph, ids []int, idBound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	sp, res, err := Prepare(g, ids, idBound)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := sim.RunStepContext(ctx, g, sp, cfg)
-	return res, m, err
-}
-
-// Prepare checks the IDs and returns the step program for g and the
-// Result it fills as the run completes.
 func Prepare(g *graph.Graph, ids []int, idBound int) (sim.StepProgram, *Result, error) {
 	if err := checkIDs(g.N(), ids, idBound); err != nil {
 		return nil, nil, err

@@ -16,7 +16,6 @@
 package vtmatch
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -126,26 +125,11 @@ func (n *stepNode) OnWake(round int64, inbox []sim.Inbound, out *sim.Outbox) (in
 	return int64(next.round), false
 }
 
-// Run executes the matching on g. Each node knows the IDs of its
-// incident edges (both endpoints deterministically derive an edge's ID,
-// e.g. during a hello round; the harness passes the assignment in).
-func Run(g *graph.Graph, ids EdgeIDs, bound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	return RunContext(context.Background(), g, ids, bound, cfg)
-}
-
-// RunContext is Run under a context; cancellation aborts the
-// simulation at the next round boundary.
-func RunContext(ctx context.Context, g *graph.Graph, ids EdgeIDs, bound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	sp, res, err := Prepare(g, ids, bound)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := sim.RunStepContext(ctx, g, sp, cfg)
-	return res, m, err
-}
-
 // Prepare checks the edge IDs and returns the matching's step program
-// for g and the Result it fills as the run completes.
+// for g and the Result it fills as the run completes. Each node knows
+// the IDs of its incident edges (both endpoints deterministically
+// derive an edge's ID, e.g. during a hello round; the caller passes
+// the assignment in).
 func Prepare(g *graph.Graph, ids EdgeIDs, bound int) (sim.StepProgram, *Result, error) {
 	if err := ids.Check(g, bound); err != nil {
 		return nil, nil, err

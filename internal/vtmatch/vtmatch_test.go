@@ -10,6 +10,16 @@ import (
 	"awakemis/internal/verify"
 )
 
+// runStep prepares the matching on g and runs it on the engine.
+func runStep(g *graph.Graph, ids EdgeIDs, bound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
+	sp, res, err := Prepare(g, ids, bound)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := sim.RunStep(g, sp, cfg)
+	return res, m, err
+}
+
 // randomEdgeIDs assigns a random permutation of [1, m] to the edges.
 func randomEdgeIDs(g *graph.Graph, rng *rand.Rand) EdgeIDs {
 	perm := rng.Perm(g.M())
@@ -36,7 +46,7 @@ func TestMatchingValidOnFamilies(t *testing.T) {
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
 			ids := randomEdgeIDs(g, rng)
-			res, m, err := Run(g, ids, g.M(), sim.Config{Seed: 3, Strict: true})
+			res, m, err := runStep(g, ids, g.M(), sim.Config{Seed: 3, Strict: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +77,7 @@ func TestPerfectMatchingOnEvenCycle(t *testing.T) {
 	for i, e := range g.Edges() {
 		ids[e] = i + 1
 	}
-	res, _, err := Run(g, ids, g.M(), sim.Config{Seed: 1})
+	res, _, err := runStep(g, ids, g.M(), sim.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +92,7 @@ func TestEarlyExitSavesAwake(t *testing.T) {
 	g := graph.Star(40)
 	rng := rand.New(rand.NewSource(5))
 	ids := randomEdgeIDs(g, rng)
-	res, m, err := Run(g, ids, g.M(), sim.Config{Seed: 5})
+	res, m, err := runStep(g, ids, g.M(), sim.Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +107,13 @@ func TestEarlyExitSavesAwake(t *testing.T) {
 
 func TestRejectsBadEdgeIDs(t *testing.T) {
 	g := graph.Path(3)
-	if _, _, err := Run(g, EdgeIDs{{0, 1}: 1}, 2, sim.Config{}); err == nil {
+	if _, _, err := runStep(g, EdgeIDs{{0, 1}: 1}, 2, sim.Config{}); err == nil {
 		t.Error("incomplete assignment accepted")
 	}
-	if _, _, err := Run(g, EdgeIDs{{0, 1}: 1, {1, 2}: 1}, 2, sim.Config{}); err == nil {
+	if _, _, err := runStep(g, EdgeIDs{{0, 1}: 1, {1, 2}: 1}, 2, sim.Config{}); err == nil {
 		t.Error("duplicate ids accepted")
 	}
-	if _, _, err := Run(g, EdgeIDs{{0, 1}: 1, {1, 2}: 9}, 2, sim.Config{}); err == nil {
+	if _, _, err := runStep(g, EdgeIDs{{0, 1}: 1, {1, 2}: 9}, 2, sim.Config{}); err == nil {
 		t.Error("out-of-range id accepted")
 	}
 }
@@ -114,7 +124,7 @@ func TestQuickMatchesSequentialGreedy(t *testing.T) {
 		n := int(nn%30) + 2
 		g := graph.GNP(n, 0.25, rng)
 		ids := randomEdgeIDs(g, rng)
-		res, _, err := Run(g, ids, g.M(), sim.Config{Seed: seed, Strict: true})
+		res, _, err := runStep(g, ids, g.M(), sim.Config{Seed: seed, Strict: true})
 		if err != nil {
 			return false
 		}

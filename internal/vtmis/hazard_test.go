@@ -76,7 +76,7 @@ func TestBrokenScheduleFailsWithoutCommSets(t *testing.T) {
 			m.MessagesDelivered, m.MessagesSent)
 	}
 	// The correct algorithm on the same instance succeeds.
-	res, _, err := Run(g, ids, 6, sim.Config{Seed: 1})
+	res, _, err := runStep(g, ids, 6, sim.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@
 package vtmis
 
 import (
-	"context"
 	"fmt"
 
 	"awakemis/internal/graph"
@@ -131,27 +130,11 @@ func (n *stepNode) OnWake(round int64, inbox []sim.Inbound, out *sim.Outbox) (in
 	return int64(n.rounds[n.idx]), false // base 1: round r is sim round r
 }
 
-// Run executes standalone VT-MIS on g with the given unique IDs in
-// [1, idBound]. All nodes participate on all ports. Round 0 is the
+// Prepare checks the IDs — unique, in [1, idBound] — and returns
+// standalone VT-MIS's step program for g and the Result it fills as
+// the run completes. All nodes participate on all ports. Round 0 is the
 // model's initial all-awake round; the algorithm occupies rounds
 // 1..idBound.
-func Run(g *graph.Graph, ids []int, idBound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	return RunContext(context.Background(), g, ids, idBound, cfg)
-}
-
-// RunContext is Run under a context; cancellation aborts the
-// simulation at the next round boundary.
-func RunContext(ctx context.Context, g *graph.Graph, ids []int, idBound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
-	sp, res, err := Prepare(g, ids, idBound)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := sim.RunStepContext(ctx, g, sp, cfg)
-	return res, m, err
-}
-
-// Prepare checks the IDs and returns the step program for g and the
-// Result it fills as the run completes.
 func Prepare(g *graph.Graph, ids []int, idBound int) (sim.StepProgram, *Result, error) {
 	if err := CheckIDs(g.N(), ids, idBound); err != nil {
 		return nil, nil, err

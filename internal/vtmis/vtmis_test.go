@@ -11,6 +11,16 @@ import (
 	"awakemis/internal/vtree"
 )
 
+// runStep prepares standalone VT-MIS on g and runs it on the engine.
+func runStep(g *graph.Graph, ids []int, idBound int, cfg sim.Config) (*Result, *sim.Metrics, error) {
+	sp, res, err := Prepare(g, ids, idBound)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := sim.RunStep(g, sp, cfg)
+	return res, m, err
+}
+
 func permIDs(n int, rng *rand.Rand) ([]int, []int) {
 	perm := rng.Perm(n)
 	ids := make([]int, n)
@@ -36,7 +46,7 @@ func TestVTMISComputesLFMIS(t *testing.T) {
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
 			ids, order := permIDs(g.N(), rng)
-			res, m, err := Run(g, ids, g.N(), sim.Config{Seed: 11, Strict: true})
+			res, m, err := runStep(g, ids, g.N(), sim.Config{Seed: 11, Strict: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +79,7 @@ func TestVTMISSparseIDs(t *testing.T) {
 	for v := range ids {
 		ids[v] = perm[v] + 1
 	}
-	res, m, err := Run(g, ids, bound, sim.Config{Seed: 13, Strict: true})
+	res, m, err := runStep(g, ids, bound, sim.Config{Seed: 13, Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +112,7 @@ func TestVTMISAwakeVsRounds(t *testing.T) {
 	n := 256
 	g := graph.GNP(n, 0.05, rng)
 	ids, _ := permIDs(n, rng)
-	_, m, err := Run(g, ids, n, sim.Config{Seed: 6})
+	_, m, err := runStep(g, ids, n, sim.Config{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +130,7 @@ func TestQuickVTMISMatchesSequential(t *testing.T) {
 		n := int(nn%30) + 1
 		g := graph.GNP(n, 0.3, rng)
 		ids, order := permIDs(n, rng)
-		res, _, err := Run(g, ids, n, sim.Config{Seed: seed, Strict: true})
+		res, _, err := runStep(g, ids, n, sim.Config{Seed: seed, Strict: true})
 		if err != nil {
 			return false
 		}
@@ -139,7 +149,7 @@ func TestVTMISRejectsBadIDs(t *testing.T) {
 		{0, 1, 2},  // below range
 		{1, 2, 99}, // above bound
 	} {
-		if _, _, err := Run(g, ids, 3, sim.Config{}); err == nil {
+		if _, _, err := runStep(g, ids, 3, sim.Config{}); err == nil {
 			t.Errorf("ids %v accepted", ids)
 		}
 	}
@@ -147,7 +157,7 @@ func TestVTMISRejectsBadIDs(t *testing.T) {
 
 func TestVTMISSingleNode(t *testing.T) {
 	g := graph.New(1)
-	res, _, err := Run(g, []int{1}, 1, sim.Config{Seed: 1})
+	res, _, err := runStep(g, []int{1}, 1, sim.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,6 @@
 // BenchmarkObserverOverhead prices the round-telemetry hook: the same
-// Luby run with Options.Observer nil ("off") versus attached ("on").
+// Luby run without an observer ("off") versus one attached with
+// WithObserver ("on").
 // CI's bench job compares the two ns/op against the <=5% overhead
 // budget — the hook runs once per executed round, never per node or
 // per message, so the gap must vanish as n grows.
@@ -8,6 +9,7 @@
 package awakemis_test
 
 import (
+	"context"
 	"testing"
 
 	"awakemis"
@@ -27,12 +29,13 @@ func BenchmarkObserverOverhead(b *testing.B) {
 		b.Run(sz.name, func(b *testing.B) {
 			n := sz.n
 			g := awakemis.GNP(n, 4/float64(n), int64(n))
-			run := func(b *testing.B, obs awakemis.RoundObserver) {
+			run := func(b *testing.B, opts ...awakemis.RunOption) {
+				opts = append(opts, awakemis.WithGraph(g))
 				var last awakemis.Metrics
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := awakemis.RunMIS(g, awakemis.Luby,
-						awakemis.Options{Seed: int64(i), Observer: obs})
+					spec := awakemis.Spec{Task: string(awakemis.Luby), Options: awakemis.Options{Seed: int64(i)}}
+					res, err := awakemis.Run(context.Background(), spec, opts...)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -40,10 +43,10 @@ func BenchmarkObserverOverhead(b *testing.B) {
 				}
 				b.ReportMetric(float64(last.Rounds), "rounds")
 			}
-			b.Run("off", func(b *testing.B) { run(b, nil) })
+			b.Run("off", func(b *testing.B) { run(b) })
 			b.Run("on", func(b *testing.B) {
 				obs := &countingObserver{}
-				run(b, obs)
+				run(b, awakemis.WithObserver(obs))
 				if obs.rounds == 0 {
 					b.Fatal("observer saw no rounds")
 				}

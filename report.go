@@ -41,8 +41,7 @@ func statsOf(g *Graph) GraphStats {
 type Report struct {
 	// Task names the registered task that produced this report.
 	Task string `json:"task"`
-	// Name is the spec label when the run came from a Spec ("" for
-	// direct RunTask calls).
+	// Name is the spec's Name label ("" when the spec has none).
 	Name string `json:"name,omitempty"`
 	// Engine and Workers record the runtime configuration. Workers is
 	// the requested Options.Workers (0 means automatic), not the value a

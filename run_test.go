@@ -14,9 +14,9 @@ import (
 // TestLanePipelinePanicBecomesError: a panic in a lane's pipeline
 // outside the node programs — in its task's prepare or verify — fails
 // the run with an error naming the spec, for a merged three-trial pass
-// and for RunTask alike, and leaves no goroutine behind. The test task
-// joins the registry only for this test, which therefore runs
-// sequentially: other tests iterate Tasks().
+// and for a one-lane run on a graph in hand alike, and leaves no
+// goroutine behind. The test task joins the registry only for this
+// test, which therefore runs sequentially: other tests iterate Tasks().
 func TestLanePipelinePanicBecomesError(t *testing.T) {
 	const task, prepSeed, verifySeed = "test-panicky", 7, 8
 	registerTask(Task{
@@ -56,13 +56,13 @@ func TestLanePipelinePanicBecomesError(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "trial-1") || !strings.Contains(err.Error(), "blew up") {
 			t.Errorf("seed %d: Run err = %v, want a panic error naming trial-1", bad, err)
 		}
-		_, err = RunTask(Cycle(64), task, Options{Seed: bad, Workers: 4})
+		_, err = runOn(Cycle(64), task, Options{Seed: bad, Workers: 4})
 		if err == nil || !strings.Contains(err.Error(), task) || !strings.Contains(err.Error(), "blew up") {
-			t.Errorf("seed %d: RunTask err = %v, want a panic error naming %s", bad, err, task)
+			t.Errorf("seed %d: WithGraph run err = %v, want a panic error naming %s", bad, err, task)
 		}
 	}
 	// The healthy seeds still run: the test task itself is sound.
-	if _, err := RunTask(Cycle(64), task, Options{Seed: 1}); err != nil {
+	if _, err := runOn(Cycle(64), task, Options{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -59,7 +59,7 @@ func BenchmarkScale(b *testing.B) {
 					runtime.ReadMemStats(&ms0)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, err := awakemis.RunTask(g, task, awakemis.Options{Seed: int64(i)}); err != nil {
+						if _, err := runOn(g, task, awakemis.Options{Seed: int64(i)}); err != nil {
 							b.Fatal(err)
 						}
 					}

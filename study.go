@@ -141,8 +141,8 @@ func (ss StudySpec) check() error {
 	}
 	r := ss.Resolved()
 	// Bound the expansion before allocating it: every entry point
-	// (RunStudy, the daemon, the CLI) validates first, so a tiny JSON
-	// body with a huge trial count or axis product can never OOM the
+	// (StudyRunner.Run, the daemon, the CLI) validates first, so a tiny
+	// JSON body with a huge trial count or axis product can never OOM the
 	// process. Each factor is checked against the cap before it is
 	// multiplied in — the short-circuit keeps the running product at
 	// most cap², so the arithmetic can never overflow past the check.
@@ -750,14 +750,4 @@ func (sr *StudyRunner) Run(ctx context.Context, ss StudySpec) (*StudyResult, err
 		return nil, addErr
 	}
 	return acc.Result()
-}
-
-// RunStudy executes the study with default executor settings.
-func RunStudy(ss StudySpec) (*StudyResult, error) {
-	return RunStudyContext(context.Background(), ss)
-}
-
-// RunStudyContext is RunStudy under a context.
-func RunStudyContext(ctx context.Context, ss StudySpec) (*StudyResult, error) {
-	return (&StudyRunner{}).Run(ctx, ss)
 }

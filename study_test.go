@@ -235,7 +235,7 @@ func TestStudyVectorizedMatchesScalar(t *testing.T) {
 // quick study's n-sweep, awake-mis's awake-metric fit prefers the
 // log log n model while vt-mis (awake Θ(log I), I = n) prefers log n.
 func TestStudyFitPrefersLogLog(t *testing.T) {
-	res, err := awakemis.RunStudy(quickStudy())
+	res, err := (&awakemis.StudyRunner{}).Run(context.Background(), quickStudy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestStudyFitPrefersLogLog(t *testing.T) {
 // re-encodes and re-renders identically — what lets a client of the
 // daemon regenerate the CSV views locally.
 func TestStudyArtifactRoundTrip(t *testing.T) {
-	res, err := awakemis.RunStudy(tinyStudy())
+	res, err := (&awakemis.StudyRunner{}).Run(context.Background(), tinyStudy())
 	if err != nil {
 		t.Fatal(err)
 	}

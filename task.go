@@ -1,10 +1,8 @@
 package awakemis
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"awakemis/internal/sim"
@@ -13,10 +11,10 @@ import (
 )
 
 // Task is one registered problem: a name, an ID-assignment scheme, a
-// prepare function, and an output verifier. Every public entry point —
-// RunTask, Run, RunMIS, Runner.RunBatch, and the CLIs — dispatches
-// through the task registry, so adding a problem means registering a
-// Task, not editing the facade.
+// prepare function, and an output verifier. Run — and through it
+// Runner.RunBatch, StudyRunner.Run and the CLIs — dispatches through
+// the task registry, so adding a problem means registering a Task, not
+// editing the facade.
 type Task struct {
 	// Name identifies the task ("awake-mis", "coloring", ...).
 	Name string
@@ -91,28 +89,6 @@ func TaskByName(name string) (Task, bool) {
 	return *t, true
 }
 
-// RunTask executes the named task on g and returns its Report. The
-// output is always checked against the task's verification oracle
-// before returning (a violation — possible only if a high-probability
-// event failed — is reported as an error).
-func RunTask(g *Graph, task string, opt Options) (*Report, error) {
-	return RunTaskContext(context.Background(), g, task, opt)
-}
-
-// RunTaskContext is RunTask under a context: cancellation or a missed
-// deadline aborts the simulation at the next round boundary and
-// returns an error wrapping ctx.Err().
-func RunTaskContext(ctx context.Context, g *Graph, task string, opt Options) (*Report, error) {
-	if err := opt.checkEngine(); err != nil {
-		return nil, fmt.Errorf("awakemis: %w options: %s", ErrInvalidSpec, err)
-	}
-	out := make([]*Report, 1)
-	if err := runLanes(ctx, g, []Spec{{Task: task, Options: opt}}, opt.Workers, out); err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
 // lane is one spec's share of a merged pass: the task, program and
 // config it contributes, and what its Report needs afterwards.
 type lane struct {
@@ -125,16 +101,13 @@ type lane struct {
 	acc       *roundSummaryAcc
 }
 
-// newLane is the registry dispatch shared by every entry point: it
-// resolves spec's task and sim.Config — the pass's worker count, the
-// spec's tracer and observer — and prepares the task's program on g.
-func newLane(g *Graph, spec Spec, workers int) (*lane, error) {
+// newLane is Run's registry dispatch: it resolves spec's task — Run
+// has validated spec, so the task is registered — and sim.Config — the
+// pass's worker count, the spec's tracer and the lane's observer obs —
+// and prepares the task's program on g.
+func newLane(g *Graph, spec Spec, obs RoundObserver, workers int) (*lane, error) {
 	opt := spec.Options
-	t, ok := taskRegistry[spec.Task]
-	if !ok {
-		return nil, fmt.Errorf("awakemis: unknown task %q (have %s)",
-			spec.Task, strings.Join(TaskNames(), "|"))
-	}
+	t := taskRegistry[spec.Task]
 	l := &lane{spec: spec, task: t, cfg: sim.Config{
 		Seed:      opt.Seed,
 		N:         opt.N,
@@ -150,8 +123,8 @@ func newLane(g *Graph, spec Spec, workers int) (*lane, error) {
 	if opt.RoundSummary {
 		l.acc = &roundSummaryAcc{}
 	}
-	if l.acc != nil || opt.Observer != nil {
-		l.cfg.Observer = &simObserver{user: opt.Observer, acc: l.acc}
+	if l.acc != nil || obs != nil {
+		l.cfg.Observer = &simObserver{user: obs, acc: l.acc}
 	}
 	var err error
 	if l.prog, l.output, err = t.prepare(g, opt, &l.cfg); err != nil {

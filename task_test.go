@@ -11,6 +11,11 @@ import (
 	"awakemis"
 )
 
+// runOn runs task on g, a graph in hand, through Run.
+func runOn(g *awakemis.Graph, task string, opt awakemis.Options) (*awakemis.Report, error) {
+	return awakemis.Run(context.Background(), awakemis.Spec{Task: task, Options: opt}, awakemis.WithGraph(g))
+}
+
 func TestTasksListsAllEightProblems(t *testing.T) {
 	want := []string{
 		"awake-mis", "awake-mis-round", "luby", "naive-greedy",
@@ -36,7 +41,7 @@ func TestRunTaskEveryTaskProducesVerifiedReport(t *testing.T) {
 	g := awakemis.GNP(70, 0.06, 11)
 	for _, task := range awakemis.TaskNames() {
 		t.Run(task, func(t *testing.T) {
-			rep, err := awakemis.RunTask(g, task, awakemis.Options{Seed: 4, Strict: true})
+			rep, err := runOn(g, task, awakemis.Options{Seed: 4, Strict: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +74,7 @@ func TestRunTaskEveryTaskProducesVerifiedReport(t *testing.T) {
 
 func TestReportJSONRoundTrip(t *testing.T) {
 	g := awakemis.Cycle(20)
-	rep, err := awakemis.RunTask(g, "luby", awakemis.Options{Seed: 1})
+	rep, err := runOn(g, "luby", awakemis.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,36 +101,9 @@ func TestReportJSONRoundTrip(t *testing.T) {
 }
 
 func TestRunTaskUnknownNameListsRegistry(t *testing.T) {
-	_, err := awakemis.RunTask(awakemis.Cycle(4), "bogus", awakemis.Options{})
+	_, err := runOn(awakemis.Cycle(4), "bogus", awakemis.Options{})
 	if err == nil || !strings.Contains(err.Error(), "awake-mis") {
 		t.Fatalf("want an error naming the registry, got %v", err)
-	}
-}
-
-func TestRunRejectsNonMISTasks(t *testing.T) {
-	for _, task := range []string{awakemis.TaskColoring, awakemis.TaskMatching} {
-		if _, err := awakemis.RunMIS(awakemis.Cycle(10), awakemis.Algorithm(task), awakemis.Options{Seed: 1}); err == nil {
-			t.Errorf("Run accepted non-MIS task %q", task)
-		}
-	}
-}
-
-// TestRunMISMatchesRegistry: the typed MIS view is the registry
-// Report, field for field.
-func TestRunMISMatchesRegistry(t *testing.T) {
-	g := awakemis.GNP(60, 0.08, 5)
-	opt := awakemis.Options{Seed: 9, Strict: true}
-
-	rres, err := awakemis.RunMIS(g, awakemis.Luby, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rrep, err := awakemis.RunTask(g, "luby", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rres.InMIS, rrep.Output.InMIS) || !reflect.DeepEqual(rres.Metrics, rrep.Metrics) {
-		t.Error("Run diverges from RunTask(luby)")
 	}
 }
 
@@ -134,7 +112,8 @@ func TestRunTaskContextCancellation(t *testing.T) {
 	cancel()
 	// naive-greedy on a big cycle would run for thousands of rounds; a
 	// dead context must stop it before the first one.
-	_, err := awakemis.RunTaskContext(ctx, awakemis.Cycle(2000), "naive-greedy", awakemis.Options{Seed: 1})
+	spec := awakemis.Spec{Task: "naive-greedy", Options: awakemis.Options{Seed: 1}}
+	_, err := awakemis.Run(ctx, spec, awakemis.WithGraph(awakemis.Cycle(2000)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -101,8 +101,7 @@ func TestRoundSummaryAcrossEnginesAndWorkers(t *testing.T) {
 func TestObserverTotalsMatchReport(t *testing.T) {
 	spec := telemetrySpec()
 	log := &statLog{}
-	spec.Options.Observer = log
-	rep, err := awakemis.Run(context.Background(), spec)
+	rep, err := awakemis.Run(context.Background(), spec, awakemis.WithObserver(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +131,7 @@ func TestObserverLeavesReportUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Options.Observer = &statLog{}
-	observed, err := awakemis.Run(context.Background(), spec)
+	observed, err := awakemis.Run(context.Background(), spec, awakemis.WithObserver(&statLog{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,8 +167,14 @@ func (gs GraphSpec) edges(family string) (m float64, ok bool) {
 // validate checks the run options: engine name, and non-negative
 // resource knobs (zero always means "the default").
 func (o Options) validate() error {
-	if err := o.checkEngine(); err != nil {
-		return err
+	switch o.Engine {
+	case "", EngineStepped:
+	case "lockstep":
+		// The reference engine changed only speed, never results, so
+		// such specs run unchanged without the field.
+		return fmt.Errorf(`engine "lockstep" is no longer offered: it never changed results, so drop the field (or set "stepped") and rerun`)
+	default:
+		return fmt.Errorf("unknown engine %q (have stepped)", o.Engine)
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("workers must be non-negative, got %d", o.Workers)
@@ -183,17 +189,4 @@ func (o Options) validate() error {
 		return fmt.Errorf("max_rounds must be non-negative, got %d", o.MaxRounds)
 	}
 	return nil
-}
-
-// checkEngine accepts the one engine name. "lockstep" gets a migration
-// hint: the reference engine changed only speed, never results, so
-// such specs run unchanged without the field.
-func (o Options) checkEngine() error {
-	switch o.Engine {
-	case "", EngineStepped:
-		return nil
-	case "lockstep":
-		return fmt.Errorf(`engine "lockstep" is no longer offered: it never changed results, so drop the field (or set "stepped") and rerun`)
-	}
-	return fmt.Errorf("unknown engine %q (have stepped)", o.Engine)
 }

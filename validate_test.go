@@ -79,10 +79,11 @@ func TestRunSpecValidates(t *testing.T) {
 	if !errors.Is(err, awakemis.ErrInvalidSpec) {
 		t.Errorf("Run(negative n) = %v, want ErrInvalidSpec", err)
 	}
-	// RunTask has no spec, but the engine name is checked all the same.
-	_, err = awakemis.RunTask(awakemis.Cycle(8), "luby", awakemis.Options{Engine: "lockstep"})
+	// A graph in hand skips the graph spec, not the options check.
+	_, err = awakemis.Run(ctx, awakemis.Spec{Task: "luby", Options: awakemis.Options{Engine: "lockstep"}},
+		awakemis.WithGraph(awakemis.Cycle(8)))
 	if !errors.Is(err, awakemis.ErrInvalidSpec) {
-		t.Errorf("RunTask(lockstep) = %v, want ErrInvalidSpec", err)
+		t.Errorf("Run(lockstep, WithGraph) = %v, want ErrInvalidSpec", err)
 	}
 }
 
