@@ -108,9 +108,11 @@ type Options struct {
 	// zero fields take paper-faithful defaults.
 	Params core.Params `json:"params,omitempty"`
 	// Trace records per-node awake timelines and message-loss counters,
-	// exposed through Report.Timeline and Report.TraceSummary. The
-	// recorded node set is sampled (first trace.DefaultMaxNodes ids) so
-	// tracing stays bounded on million-node graphs.
+	// exposed through Report.Timeline and Report.TraceSummary. It
+	// attaches a trace collector to the run's round observer and asks
+	// the engine for each round's awake node ids. The recorded node set
+	// is sampled (first trace.DefaultMaxNodes ids) so tracing stays
+	// bounded on million-node graphs.
 	Trace bool `json:"trace,omitempty"`
 	// RoundSummary embeds the compact, deterministic per-round block in
 	// the Report (Report.RoundSummary). Unlike Trace it affects report

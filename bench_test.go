@@ -1,7 +1,8 @@
 // Benchmarks regenerating the paper-reproduction experiments (one per
-// table/figure in DESIGN.md §4). Beyond ns/op, each benchmark reports
-// the complexity measures the paper is about as custom metrics:
-// awake-max (worst-case awake complexity), awake-avg, and rounds.
+// table/figure of the experiment list, expt.All in internal/expt).
+// Beyond ns/op, each benchmark reports the complexity measures the
+// paper is about as custom metrics: awake-max (worst-case awake
+// complexity), awake-avg, and rounds.
 //
 // Run everything:
 //
@@ -319,9 +320,7 @@ func BenchmarkCommSet(b *testing.B) {
 // BenchmarkEngines runs every registered task on the production
 // vector engine (a one-lane pass, reported as "stepped") at small n.
 // The sub-benchmark names keep their engine suffix so recorded runs
-// stay comparable; the lockstep columns of BENCH_tasks.json (and the
-// PR 1 Luby size sweep in BENCH_engine.json) are historical, from the
-// retired reference engine:
+// stay comparable:
 //
 //	go test -run xxx -bench BenchmarkEngines -benchtime 2x
 func BenchmarkEngines(b *testing.B) {

@@ -2,6 +2,7 @@ package awakemis
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -121,6 +122,31 @@ func TestTraceThroughFacade(t *testing.T) {
 	if !strings.Contains(res2.Timeline(1, 10), "disabled") ||
 		!strings.Contains(res2.TraceSummary(), "disabled") {
 		t.Error("untraced result should say tracing is disabled")
+	}
+}
+
+// TestTraceAcrossVectorizedLanes traces every lane of a merged pass:
+// each lane's trace must read exactly as a plain traced run of that
+// trial's seed.
+func TestTraceAcrossVectorizedLanes(t *testing.T) {
+	g := GNP(300, 4.0/300, 9)
+	spec := Spec{Task: string(AwakeMIS), Options: Options{Trace: true}}
+	trials := []Trial{{Seed: 1}, {Seed: 2}, {Seed: 3}}
+	out := make([]*Report, len(trials))
+	if _, err := Run(context.Background(), spec, WithGraph(g), WithVectorizedTrials(trials, out)); err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range trials {
+		plain, err := runOn(g, string(AwakeMIS), Options{Seed: tr.Seed, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := out[i].TraceSummary(), plain.TraceSummary(); got != want {
+			t.Errorf("lane %d summary %q, plain run %q", i, got, want)
+		}
+		if got, want := out[i].Timeline(3, 40), plain.Timeline(3, 40); got != want {
+			t.Errorf("lane %d timeline:\n%s\nplain run:\n%s", i, got, want)
+		}
 	}
 }
 

@@ -29,7 +29,8 @@ import (
 // probability 10·2^i log n/n, Δ′ = 9 ln(n⁴), component bound
 // 6 ln(n⁴)) are asymptotic; the defaults here preserve every
 // high-probability argument at laptop sizes while keeping the
-// simulation tractable (see DESIGN.md §2, substitution 3).
+// simulation tractable. Experiment e10 in internal/expt measures how
+// each constant trades awake against round complexity.
 type Params struct {
 	// C1 scales the batch-level probabilities (paper: 10).
 	C1 float64 `json:"c1,omitempty"`

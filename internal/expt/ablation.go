@@ -12,7 +12,8 @@ import (
 	"awakemis/internal/vtree"
 )
 
-// runE10 is the ablation study DESIGN.md calls out: how the three
+// runE10 is the ablation study of core.Params, which replaces the
+// paper's asymptotic constants at laptop sizes: how the three
 // tunable constants of Awake-MIS trade awake complexity against round
 // complexity and failure margin. C1 scales batch-level populations,
 // Δ′ the per-level batch count (residual-degree budget), NP the

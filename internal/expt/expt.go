@@ -1,8 +1,8 @@
 // Package expt is the experiment harness: it regenerates, as printed
 // tables, the quantitative content of every theorem, lemma, and figure
-// of the paper (the experiment index in DESIGN.md §4 and the recorded
-// results in EXPERIMENTS.md). Each experiment validates its outputs
-// against the verify oracles before reporting numbers.
+// of the paper (the experiment index is All; cmd/experiments runs it).
+// Each experiment validates its outputs against the verify oracles
+// before reporting numbers.
 package expt
 
 import (
@@ -228,7 +228,7 @@ func runE1(o Options, w io.Writer) error {
 
 func runE2(o Options, w io.Writer) error {
 	fmt.Fprintln(w, "Awake-MIS round variant (Corollary 14, deterministic LDT construction).")
-	fmt.Fprintln(w, "Note: with the randomized ConstructAwake substitution (DESIGN.md §2),")
+	fmt.Fprintln(w, "Note: with the randomized ConstructAwake substitution (see internal/ldt),")
 	fmt.Fprintln(w, "the paper's round-complexity advantage of this variant inverts; awake stays O(log log n)·log* n.")
 	return sweepMIS(o, w, string(awakemis.AwakeMISRound))
 }

@@ -3,10 +3,11 @@ package ldt
 // This file describes the two LDT constructions and holds their span
 // formulas and pure helpers; step_construct.go implements them.
 //
-// ConstructAwake (randomized; substitution for Theorem 4 of [2], see
-// DESIGN.md §2): repeated fragment merging where each fragment flips a
-// coin and every tails fragment whose minimum outgoing edge points at a
-// heads fragment merges into it. Each phase costs O(1) awake rounds per
+// ConstructAwake (randomized; substitution for Theorem 4 of [2], a
+// deterministic construction the source paper cites without giving):
+// repeated fragment merging where each fragment flips a coin and every
+// tails fragment whose minimum outgoing edge points at a heads
+// fragment merges into it. Each phase costs O(1) awake rounds per
 // node, and O(log n′) phases suffice w.h.p., giving O(log n′) awake
 // complexity.
 //

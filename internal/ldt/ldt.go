@@ -7,8 +7,9 @@
 //
 //   - ConstructAwake: a randomized fragment-merging construction with
 //     O(log n′) awake complexity w.h.p. (substitute for Theorem 4 of
-//     [Augustine–Moses–Pandurangan 2022], whose deterministic
-//     construction lives in a different paper; see DESIGN.md §2).
+//     [Augustine–Moses–Pandurangan 2022]: the source paper cites that
+//     deterministic construction without giving it, so it is not
+//     reproduced here).
 //   - ConstructRound: the deterministic construction of Appendix A
 //     (GHS-style fragment merging with Cole–Vishkin 6-coloring and
 //     fragment matching), with O((log n′)·log* I) awake complexity.

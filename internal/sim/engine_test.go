@@ -3,69 +3,43 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"awakemis/internal/graph"
 )
 
-// recordingTracer checks the Tracer contract: events arrive from the
-// engine goroutine in nondecreasing round order.
-type recordingTracer struct {
-	mu         sync.Mutex
-	awake      []int64
-	messages   int
-	delivered  int
-	outOfOrder bool
-	lastRound  int64
-}
-
-func (r *recordingTracer) NodeAwake(round int64, node int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if round < r.lastRound {
-		r.outOfOrder = true
-	}
-	r.lastRound = round
-	r.awake = append(r.awake, round)
-}
-
-func (r *recordingTracer) Message(round int64, from, to, bits int, delivered bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if round < r.lastRound {
-		r.outOfOrder = true
-	}
-	r.messages++
-	if delivered {
-		r.delivered++
-	}
-}
-
+// TestTracerEventStream checks the per-node stream a trace is built
+// from: with NodeDetail each observed round lists its awake node ids in
+// ascending order, the lists account for every awake node-round, and
+// the round deltas sum to the run's message Metrics.
 func TestTracerEventStream(t *testing.T) {
 	g := graph.Cycle(8)
-	tr := &recordingTracer{}
+	obs := &obsLog{}
 	prog := proc(func(n *procNode) {
 		n.Yield(0, func(out *Outbox) { out.Broadcast(intMsg(1)) }, func([]Inbound) {
 			n.Yield(4, func(out *Outbox) { out.Broadcast(intMsg(2)) }, func([]Inbound) {})
 		})
 	})
-	m, err := RunStep(g, prog, Config{Seed: 1, Tracer: tr})
+	m, err := RunStep(g, prog, Config{Seed: 1, Observer: obs, NodeDetail: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.outOfOrder {
-		t.Error("tracer saw rounds out of order")
+	var awake, sent, delivered int64
+	for _, st := range obs.stats {
+		if !slices.IsSorted(st.Nodes) || len(st.Nodes) != st.Awake {
+			t.Errorf("round %d: nodes %v not an ascending list of %d ids", st.Round, st.Nodes, st.Awake)
+		}
+		awake += int64(len(st.Nodes))
+		sent += st.Sent
+		delivered += st.Delivered
 	}
-	if int64(len(tr.awake)) != m.TotalAwake {
-		t.Errorf("tracer awake events %d != TotalAwake %d", len(tr.awake), m.TotalAwake)
+	if awake != m.TotalAwake {
+		t.Errorf("listed awake node-rounds %d != TotalAwake %d", awake, m.TotalAwake)
 	}
-	if int64(tr.messages) != m.MessagesSent {
-		t.Errorf("tracer messages %d != sent %d", tr.messages, m.MessagesSent)
-	}
-	if int64(tr.delivered) != m.MessagesDelivered {
-		t.Errorf("tracer delivered %d != %d", tr.delivered, m.MessagesDelivered)
+	if sent != m.MessagesSent || delivered != m.MessagesDelivered {
+		t.Errorf("observed sent/delivered %d/%d != metrics %d/%d", sent, delivered, m.MessagesSent, m.MessagesDelivered)
 	}
 }
 

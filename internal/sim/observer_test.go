@@ -1,17 +1,23 @@
 package sim
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"awakemis/internal/graph"
 )
 
-// obsLog records every RoundStat it observes.
+// obsLog records every RoundStat it observes, copying Nodes out of the
+// engine's reused storage.
 type obsLog struct {
 	stats []RoundStat
 }
 
-func (o *obsLog) ObserveRound(st RoundStat) { o.stats = append(o.stats, st) }
+func (o *obsLog) ObserveRound(st RoundStat) {
+	st.Nodes = slices.Clone(st.Nodes)
+	o.stats = append(o.stats, st)
+}
 
 // staggerNode broadcasts every awake round and sleeps id%3 extra rounds
 // between wakes, so the schedule loses messages to sleeping receivers
@@ -39,7 +45,8 @@ var staggerProg StepProgram = func(env *NodeEnv) StepNode {
 // TestObserverTotalsMatchMetrics pins the observer identity: summing
 // the per-round deltas over all observed rounds reproduces the final
 // Metrics exactly at several worker counts, and the deterministic
-// RoundStat fields are bit-identical across them.
+// RoundStat fields, the NodeDetail id lists included, are bit-identical
+// across them.
 func TestObserverTotalsMatchMetrics(t *testing.T) {
 	g := graph.Grid(16, 16)
 	var ref []RoundStat
@@ -50,7 +57,7 @@ func TestObserverTotalsMatchMetrics(t *testing.T) {
 		"stepped-16": {Workers: 16},
 	} {
 		obs := &obsLog{}
-		m, err := RunStep(g, staggerProg, Config{Seed: 11, Workers: base.Workers, Observer: obs})
+		m, err := RunStep(g, staggerProg, Config{Seed: 11, Workers: base.Workers, Observer: obs, NodeDetail: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -92,7 +99,7 @@ func TestObserverTotalsMatchMetrics(t *testing.T) {
 		for i := range ref {
 			a, b := ref[i], obs.stats[i]
 			a.Elapsed, b.Elapsed = 0, 0 // wall time is the only nondeterministic field
-			if a != b {
+			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("round stat %d diverges: %s=%+v vs %s=%+v", i, refName, a, name, b)
 			}
 		}

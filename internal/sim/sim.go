@@ -24,6 +24,10 @@
 // worker pool in deterministic shards. A plain run (RunStep) is one
 // lane. Reports name this engine "stepped".
 //
+// Config.Observer is the engine's one hook: it receives a RoundStat
+// per executed round, and with Config.NodeDetail that stat lists the
+// round's awake node ids, the per-node view package trace renders.
+//
 // # Determinism contract
 //
 // For a fixed (graph, program, Config.Seed), the engine at every
@@ -91,15 +95,16 @@ type Config struct {
 	// MaxRounds aborts runs that exceed this round count (safety net
 	// against schedule bugs). Zero means 1<<40.
 	MaxRounds int64
-	// Tracer, if non-nil, receives execution events (awake rounds and
-	// message routing) as they happen. Tracer methods are called from
-	// the goroutine running the pass only.
-	Tracer Tracer
-	// Observer, if non-nil, receives one flat RoundStat per executed
-	// round. Unlike Tracer it carries no per-node or per-message detail,
-	// so attaching it costs O(1) per round regardless of n. Observer
-	// methods are called from the goroutine running the pass only.
+	// Observer, if non-nil, receives one RoundStat per executed round:
+	// the engine's only hook. Without NodeDetail it carries counters
+	// alone, so attaching it costs O(1) per round regardless of n.
+	// Observer methods are called from the goroutine running the pass
+	// only.
 	Observer RoundObserver
+	// NodeDetail fills RoundStat.Nodes with the lane's awake node ids,
+	// the per-node view a trace is built from. It costs O(awake) per
+	// round for lanes of a merged pass and nothing for a one-lane run.
+	NodeDetail bool
 	// Workers sizes the pass's worker pool; zero means one per CPU. It
 	// never changes results. All lanes of one pass must agree on it.
 	Workers int
@@ -122,21 +127,11 @@ func (cfg Config) withDefaults(n int) (Config, error) {
 	return cfg, nil
 }
 
-// Tracer observes a simulation for debugging and visualization.
-// Implementations must be cheap; they run on the engine's hot path.
-type Tracer interface {
-	// NodeAwake fires when a node begins an awake round.
-	NodeAwake(round int64, node int)
-	// Message fires for every sent message; delivered reports whether
-	// the receiver was awake.
-	Message(round int64, from, to, bits int, delivered bool)
-}
-
-// RoundStat is the flat aggregate of one executed round: no maps, no
-// per-node state, just counters. The message counters are deltas for
-// this round alone; summed over all observed rounds they equal the
-// corresponding final Metrics totals exactly (the identity is frozen by
-// test across engines and worker counts).
+// RoundStat is the aggregate of one executed round: counters, plus
+// the awake node ids when the lane asked for NodeDetail. The message
+// counters are deltas for this round alone; summed over all observed
+// rounds they equal the corresponding final Metrics totals exactly
+// (the identity is frozen by test across worker counts).
 type RoundStat struct {
 	// Round is the round number (clock); rounds where every node sleeps
 	// are skipped, so consecutive stats may jump.
@@ -153,6 +148,10 @@ type RoundStat struct {
 	// Elapsed is the wall time the engine spent simulating the round.
 	// It is the only nondeterministic field.
 	Elapsed time.Duration
+	// Nodes lists the lane's awake node ids this round, ascending, when
+	// Config.NodeDetail is set (nil otherwise). The engine reuses the
+	// storage: it is valid only during the ObserveRound call.
+	Nodes []int
 }
 
 // RoundObserver receives per-round aggregates as the engine executes.
@@ -172,6 +171,8 @@ type RoundObserver interface {
 // round loop.
 type roundProbe struct {
 	obs       RoundObserver
+	detail    bool  // Config.NodeDetail, with an observer to receive it
+	nodes     []int // the lane's awake ids, when a merged pass must split them out
 	start     time.Time
 	sent      int64
 	delivered int64
@@ -184,13 +185,18 @@ func (p *roundProbe) begin(m *Metrics) {
 		return
 	}
 	p.sent, p.delivered, p.bits = m.MessagesSent, m.MessagesDelivered, m.BitsSent
+	p.nodes = p.nodes[:0]
 	p.start = time.Now()
 }
 
-// end emits the round's RoundStat once the round has fully completed.
-func (p *roundProbe) end(m *Metrics, round int64, awake int) {
+// end emits the round's RoundStat once the round has fully completed;
+// nodes is the lane's awake id list, handed on under NodeDetail.
+func (p *roundProbe) end(m *Metrics, round int64, awake int, nodes []int) {
 	if p.obs == nil {
 		return
+	}
+	if !p.detail {
+		nodes = nil
 	}
 	p.obs.ObserveRound(RoundStat{
 		Round:     round,
@@ -199,6 +205,7 @@ func (p *roundProbe) end(m *Metrics, round int64, awake int) {
 		Delivered: m.MessagesDelivered - p.delivered,
 		Bits:      m.BitsSent - p.bits,
 		Elapsed:   time.Since(p.start),
+		Nodes:     nodes,
 	})
 }
 
@@ -236,14 +243,11 @@ func (m *Metrics) AvgAwake() float64 {
 }
 
 // noteAwake meters the start of an awake round for node v.
-func (m *Metrics) noteAwake(v int, clock int64, tracer Tracer) {
+func (m *Metrics) noteAwake(v int) {
 	m.AwakePerNode[v]++
 	m.TotalAwake++
 	if m.AwakePerNode[v] > m.MaxAwake {
 		m.MaxAwake = m.AwakePerNode[v]
-	}
-	if tracer != nil {
-		tracer.NodeAwake(clock, v)
 	}
 }
 

@@ -16,19 +16,18 @@ import (
 // ("lanes") of step programs on one shared graph in a single merged
 // pass — one wake queue, one adjacency traversal per round, one worker
 // pool — and returns each lane's Metrics. Lane t runs progs[t] under
-// cfgs[t]; lanes differ only in seed, program state, tracer and
-// observer, which is exactly the shape of a study cell's trial axis. A
-// plain run is one lane (RunStep).
+// cfgs[t]; lanes differ only in seed, program state, observer and
+// node detail, which is exactly the shape of a study cell's trial axis.
+// A plain run is one lane (RunStep).
 //
 // The lanes must agree on N, Bandwidth, Strict, MaxRounds and Workers
 // once defaults are filled; these are checked, along with the packed-id
 // range, before any program is called. The round loop runs on the
 // caller's goroutine, with node steps fanned out to the worker pool;
-// every lane's Tracer and Observer are called from the loop, lane by
-// lane within each merged round. RunLanes polls ctx at every round
-// boundary and aborts once it is cancelled or past its deadline,
-// returning an error that wraps ctx.Err(). A nil ctx means
-// context.Background().
+// every lane's Observer is called from the loop, lane by lane within
+// each merged round. RunLanes polls ctx at every round boundary and
+// aborts once it is cancelled or past its deadline, returning an error
+// that wraps ctx.Err(). A nil ctx means context.Background().
 //
 // Each lane's per-node RNG streams, routing order, inbox ordering and
 // Metrics are bit-identical to a one-lane run of the same (graph,
@@ -121,6 +120,10 @@ type vecState struct {
 	inBuf   [2][]Inbound // flat delivery storage, keyed by round parity
 
 	probes []roundProbe // per lane
+	// splitNodes is set when R > 1 and some lane wants NodeDetail: the
+	// metering loop then splits the packed awake list into per-lane id
+	// lists (a one-lane run hands its popped bucket over as is).
+	splitNodes bool
 
 	// Per-round lane bookkeeping scratch (reused, no allocation):
 	// laneMark[t] == clock+1 iff lane t has awake nodes this round,
@@ -177,7 +180,8 @@ func newVecState(g *graph.Graph, progs []StepProgram, cfgs []Config, workers int
 	rnds := make([]rand.Rand, n*R)
 	for t := 0; t < R; t++ {
 		vs.ms[t] = &Metrics{AwakePerNode: make([]int64, n)}
-		vs.probes[t] = roundProbe{obs: cfgs[t].Observer}
+		vs.probes[t] = roundProbe{obs: cfgs[t].Observer, detail: cfgs[t].NodeDetail && cfgs[t].Observer != nil}
+		vs.splitNodes = vs.splitNodes || (R > 1 && vs.probes[t].detail)
 	}
 	// Construction runs in packed order — node-major, lane-minor — so
 	// the slab writes are sequential. Each lane still sees its machines
@@ -264,9 +268,13 @@ func (vs *vecState) round(workers int) error {
 			vs.ms[t].Rounds = clock + 1
 		}
 	}
+	split := vs.splitNodes
 	for _, p := range awake {
-		t := vs.tOf[p]
-		vs.ms[t].noteAwake(int(vs.vOf[p]), clock, vs.cfgs[t].Tracer)
+		t, v := vs.tOf[p], int(vs.vOf[p])
+		vs.ms[t].noteAwake(v)
+		if split && vs.probes[t].detail {
+			vs.probes[t].nodes = append(vs.probes[t].nodes, v)
+		}
 	}
 
 	vs.clock = clock
@@ -290,7 +298,11 @@ func (vs *vecState) round(workers int) error {
 		vs.q.add(next, p)
 	}
 	for _, t := range vs.active {
-		vs.probes[t].end(vs.ms[t], clock, vs.laneAwake[t])
+		nodes := awake // one lane: the packed ids are the node ids
+		if R > 1 {
+			nodes = vs.probes[t].nodes
+		}
+		vs.probes[t].end(vs.ms[t], clock, vs.laneAwake[t], nodes)
 	}
 	vs.q.recycle(awake)
 	return nil
@@ -305,8 +317,7 @@ func (vs *vecState) round(workers int) error {
 // lane's copy of w is awake.
 //
 // Delivery is a counting sort into the round's flat buffer: pass one
-// meters every send in ascending sender order, then staging order —
-// the per-message order tracers observe — and
+// meters every send in ascending sender order, then staging order, and
 // counts each receiver's deliveries; a prefix sum over the awake list
 // carves the buffer into per-receiver regions; pass two resolves
 // arrival ports with the shared cursors and fills the regions in the
@@ -323,7 +334,6 @@ func (vs *vecState) route(clock int64, awake []int) {
 	for _, p := range awake {
 		v, t := int(vs.vOf[p]), int(vs.tOf[p])
 		m := vs.ms[t]
-		tracer := vs.cfgs[t].Tracer
 		for _, om := range vs.out[p].msgs {
 			bits := om.msg.Bits()
 			m.MessagesSent++
@@ -333,11 +343,7 @@ func (vs *vecState) route(clock int64, awake []int) {
 			}
 			w := vs.g.Neighbor(v, om.port)
 			wp := w*R + t
-			delivered := vs.stamp[wp] == clock+1
-			if tracer != nil {
-				tracer.Message(clock, v, w, bits, delivered)
-			}
-			if !delivered {
+			if vs.stamp[wp] != clock+1 {
 				continue
 			}
 			vs.inCount[wp]++

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,11 +46,13 @@ var vecProbe StepProgram = func(env *NodeEnv) StepNode {
 }
 
 // statRecorder collects the observer stream with wall times zeroed, so
-// streams compare deterministically.
+// streams compare deterministically, and Nodes copied out of the
+// engine's reused storage.
 type statRecorder struct{ stats []RoundStat }
 
 func (r *statRecorder) ObserveRound(st RoundStat) {
 	st.Elapsed = 0
+	st.Nodes = slices.Clone(st.Nodes)
 	r.stats = append(r.stats, st)
 }
 
@@ -66,7 +69,9 @@ func runVectorLanes(g *graph.Graph, progs []StepProgram, cfgs []Config, workers 
 // every lane of a merged run produces Metrics and an observer stream
 // bit-identical to a one-worker, one-lane run of the same (graph,
 // program, seed) — at several worker counts, on graphs dense and
-// sparse.
+// sparse. Every other lane sets NodeDetail, so the per-lane awake id
+// lists split out of the merged pass are held to the one-lane lists
+// while their neighbors carry none.
 func TestVectorMatchesScalar(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"cycle": graph.Cycle(64),
@@ -80,7 +85,7 @@ func TestVectorMatchesScalar(t *testing.T) {
 			var wantObs [][]RoundStat
 			for _, seed := range seeds {
 				rec := &statRecorder{}
-				m, err := RunStep(g, vecProbe, Config{Seed: seed, Workers: 1, Observer: rec})
+				m, err := RunStep(g, vecProbe, Config{Seed: seed, Workers: 1, Observer: rec, NodeDetail: len(wantMS)%2 == 0})
 				if err != nil {
 					t.Fatalf("%s: one-lane seed %d: %v", gname, seed, err)
 				}
@@ -94,7 +99,7 @@ func TestVectorMatchesScalar(t *testing.T) {
 			for i, seed := range seeds {
 				progs[i] = vecProbe
 				recs[i] = &statRecorder{}
-				cfgs[i] = Config{Seed: seed, Observer: recs[i]}
+				cfgs[i] = Config{Seed: seed, Observer: recs[i], NodeDetail: i%2 == 0}
 			}
 			ms, err := runVectorLanes(g, progs, cfgs, workers)
 			if err != nil {

@@ -1,8 +1,9 @@
 // Package trace collects and renders a per-node execution view of the
-// SLEEPING-CONGEST simulator. Collector (a sim.Tracer) records which
-// rounds each sampled node was awake — the deep view for debugging
-// schedules (a node awake when its peer sleeps is the classic
-// sleeping-model bug) — plus message delivery and loss counts.
+// SLEEPING-CONGEST simulator. Collector, a sim.RoundObserver on a lane
+// run with Config.NodeDetail, records which rounds each sampled node
+// was awake — the deep view for debugging schedules (a node awake when
+// its peer sleeps is the classic sleeping-model bug) — plus message
+// delivery and loss counts.
 package trace
 
 import (
@@ -18,15 +19,14 @@ import (
 // maps bounded on million-node graphs.
 const DefaultMaxNodes = 4096
 
-// Collector implements sim.Tracer, recording awake rounds per node and
-// message-loss counters. Per-node recording is O(awake rounds) memory
-// per node, so Collector samples: once MaxNodes distinct nodes have
-// been recorded, awake events for further nodes are counted but not
-// stored. Because every node is awake in round 0 and rounds visit
-// nodes in ascending index order, the sample is exactly the first
-// MaxNodes node ids — deterministic across engines and worker counts.
-// The message counters (Sent, Delivered, Lost, LostByRound) are global
-// and unaffected by sampling.
+// Collector implements sim.RoundObserver, recording awake rounds per
+// node from RoundStat.Nodes (the lane must set Config.NodeDetail) and
+// message-loss counters from the round deltas. Per-node recording is
+// O(awake rounds) memory per node, so Collector samples the first
+// MaxNodes node ids: awake events of higher ids are counted but not
+// stored, and the sample is deterministic across worker and lane
+// counts. The message counters (Sent, Delivered, Lost, LostByRound)
+// are global and unaffected by sampling.
 type Collector struct {
 	// AwakeRounds[v] lists the rounds node v was awake, ascending.
 	// Only sampled nodes appear; see MaxNodes.
@@ -36,16 +36,15 @@ type Collector struct {
 	// LostByRound counts lost messages per round (schedule bugs show up
 	// as loss spikes).
 	LostByRound map[int64]int64
-	// MaxNodes caps how many distinct nodes AwakeRounds records
-	// (first-k by id). Zero or negative means unbounded — the historic
-	// behavior, O(n·rounds) memory on large graphs.
+	// MaxNodes caps AwakeRounds to the node ids below it. Zero or
+	// negative means unbounded: O(n·rounds) memory on large graphs.
 	MaxNodes int
 	// SkippedEvents counts awake events dropped by the sample cap; the
 	// summary reports when a trace is partial.
 	SkippedEvents int64
 }
 
-var _ sim.Tracer = (*Collector)(nil)
+var _ sim.RoundObserver = (*Collector)(nil)
 
 // NewCollector returns an empty Collector sampling at DefaultMaxNodes.
 // Set MaxNodes before the run to widen, narrow, or (≤0) unbound the
@@ -58,24 +57,21 @@ func NewCollector() *Collector {
 	}
 }
 
-// NodeAwake implements sim.Tracer.
-func (c *Collector) NodeAwake(round int64, node int) {
-	rs, ok := c.AwakeRounds[node]
-	if !ok && c.MaxNodes > 0 && len(c.AwakeRounds) >= c.MaxNodes {
-		c.SkippedEvents++
-		return
+// ObserveRound implements sim.RoundObserver. st.Nodes is ascending,
+// so the first id past the sample cap ends the round's recording.
+func (c *Collector) ObserveRound(st sim.RoundStat) {
+	c.Sent += st.Sent
+	c.Delivered += st.Delivered
+	if lost := st.Sent - st.Delivered; lost > 0 {
+		c.Lost += lost
+		c.LostByRound[st.Round] += lost
 	}
-	c.AwakeRounds[node] = append(rs, round)
-}
-
-// Message implements sim.Tracer.
-func (c *Collector) Message(round int64, from, to, bits int, delivered bool) {
-	c.Sent++
-	if delivered {
-		c.Delivered++
-	} else {
-		c.Lost++
-		c.LostByRound[round]++
+	for i, v := range st.Nodes {
+		if c.MaxNodes > 0 && v >= c.MaxNodes {
+			c.SkippedEvents += int64(len(st.Nodes) - i)
+			break
+		}
+		c.AwakeRounds[v] = append(c.AwakeRounds[v], st.Round)
 	}
 }
 

@@ -53,7 +53,7 @@ func run(t *testing.T) *Collector {
 		r, ok := next[round]
 		return r, !ok
 	})
-	if _, err := sim.RunStep(g, prog, sim.Config{Seed: 1, Tracer: c}); err != nil {
+	if _, err := sim.RunStep(g, prog, sim.Config{Seed: 1, Observer: c, NodeDetail: true}); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -154,11 +154,9 @@ func TestBusiestNodes(t *testing.T) {
 	}
 }
 
-// TestMaxNodesSampling pins the scalability cap: once MaxNodes distinct
-// nodes are recorded, further nodes' awake events are counted but not
-// stored, and — because round 0 wakes every node in ascending order —
-// the sample is exactly the first MaxNodes ids. Global message counters
-// are unaffected.
+// TestMaxNodesSampling pins the scalability cap: the sample is exactly
+// the first MaxNodes ids, and further nodes' awake events are counted
+// but not stored. Global message counters are unaffected.
 func TestMaxNodesSampling(t *testing.T) {
 	c := NewCollector()
 	c.MaxNodes = 4
@@ -169,7 +167,7 @@ func TestMaxNodesSampling(t *testing.T) {
 		}
 		return 1, round == 1
 	})
-	if _, err := sim.RunStep(g, prog, sim.Config{Seed: 1, Tracer: c}); err != nil {
+	if _, err := sim.RunStep(g, prog, sim.Config{Seed: 1, Observer: c, NodeDetail: true}); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.AwakeRounds) != 4 {
@@ -202,8 +200,9 @@ func TestDefaultCapUnbounded(t *testing.T) {
 	}
 	c := NewCollector()
 	c.MaxNodes = 0
-	for v := 0; v < 100; v++ {
-		c.NodeAwake(0, v)
+	halt := steps(nil, func(int, int64, *sim.Outbox) (int64, bool) { return 0, true })
+	if _, err := sim.RunStep(graph.New(100), halt, sim.Config{Seed: 1, Observer: c, NodeDetail: true}); err != nil {
+		t.Fatal(err)
 	}
 	if len(c.AwakeRounds) != 100 || c.SkippedEvents != 0 {
 		t.Errorf("unbounded collector recorded %d nodes, skipped %d", len(c.AwakeRounds), c.SkippedEvents)

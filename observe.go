@@ -2,6 +2,7 @@ package awakemis
 
 import (
 	"awakemis/internal/sim"
+	"awakemis/internal/trace"
 )
 
 // RoundStat is one executed round's flat aggregate, as delivered to a
@@ -37,16 +38,21 @@ type RoundObserver interface {
 }
 
 // simObserver adapts the facade observer surface to the engine hook:
-// it converts sim.RoundStat into the public RoundStat and fans it to
-// the optional round-summary accumulator and the caller's observer.
+// it hands sim.RoundStat to the optional trace collector, converts it
+// into the public RoundStat and fans that to the optional round-summary
+// accumulator and the caller's observer.
 type simObserver struct {
-	user RoundObserver
-	acc  *roundSummaryAcc
+	user  RoundObserver
+	acc   *roundSummaryAcc
+	trace *trace.Collector
 }
 
 var _ sim.RoundObserver = (*simObserver)(nil)
 
 func (o *simObserver) ObserveRound(st sim.RoundStat) {
+	if o.trace != nil {
+		o.trace.ObserveRound(st)
+	}
 	rs := RoundStat{
 		Round:     st.Round,
 		Awake:     st.Awake,

@@ -139,7 +139,7 @@ func Run(ctx context.Context, spec Spec, opts ...RunOption) (*Report, error) {
 
 // runLanes runs specs, which share g, as the lanes of one sim.RunLanes
 // pass, lane i observed by obs[i], and fills out. It works on the
-// caller's goroutine: it prepares every lane (IDs, tracer, observer),
+// caller's goroutine: it prepares every lane (IDs, observer, trace),
 // makes the one merged pass, then verifies each lane and assembles its
 // Report, in lane order. A panic anywhere in that pipeline becomes an
 // error naming the spec whose step was running (lane 0's during the

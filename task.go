@@ -103,8 +103,9 @@ type lane struct {
 
 // newLane is Run's registry dispatch: it resolves spec's task — Run
 // has validated spec, so the task is registered — and sim.Config — the
-// pass's worker count, the spec's tracer and the lane's observer obs —
-// and prepares the task's program on g.
+// pass's worker count, and one observer fanning out to the spec's
+// trace collector, its round summary and the lane's observer obs — and
+// prepares the task's program on g.
 func newLane(g *Graph, spec Spec, obs RoundObserver, workers int) (*lane, error) {
 	opt := spec.Options
 	t := taskRegistry[spec.Task]
@@ -118,13 +119,13 @@ func newLane(g *Graph, spec Spec, obs RoundObserver, workers int) (*lane, error)
 	}}
 	if opt.Trace {
 		l.collector = trace.NewCollector()
-		l.cfg.Tracer = l.collector
+		l.cfg.NodeDetail = true
 	}
 	if opt.RoundSummary {
 		l.acc = &roundSummaryAcc{}
 	}
-	if l.acc != nil || obs != nil {
-		l.cfg.Observer = &simObserver{user: obs, acc: l.acc}
+	if l.collector != nil || l.acc != nil || obs != nil {
+		l.cfg.Observer = &simObserver{user: obs, acc: l.acc, trace: l.collector}
 	}
 	var err error
 	if l.prog, l.output, err = t.prepare(g, opt, &l.cfg); err != nil {
